@@ -89,19 +89,8 @@ class Component {
   bool woken_ = false;
   /// Event-kernel scheduling state: member of the commit set?
   bool commit_armed_ = false;
-  /// Levelized-kernel scheduling state: already placed in a level bucket of
-  /// the settle sweep currently being executed?
-  bool sweep_pending_ = false;
   /// Exempt from event-kernel demotion (see make_always_active()).
   bool always_active_ = false;
-  /// Levelized-kernel schedule: topological level of this component in the
-  /// observed combinational graph (0 = no recorded wire-driving
-  /// predecessor), assigned by Simulator::rebuild_schedule().
-  std::uint32_t level_ = 0;
-  /// Levelized-kernel schedule: global sweep slot.  Orders components by
-  /// (level, concrete type, registration), so a level's bucket — sorted by
-  /// slot — batches same-type components back-to-back for cache locality.
-  std::uint64_t slot_ = 0;
   /// Registration ordinal, assigned by Simulator::add().  The event kernel
   /// sorts its commit set by this so its commit sequence is a subsequence
   /// of the full-commit kernels' registration-order sequence — any probe

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -47,13 +46,6 @@ class WireBase {
   /// Record the currently evaluating (or, under kEvent, committing)
   /// component as a reader.
   void on_read() const {
-    if (sim_->parallel_phase_) {
-      // Mid-parallel-level: the epoch/back-slot fast paths are not
-      // thread-safe; new subscriptions are deferred to per-lane scratch
-      // and applied at the level barrier.
-      sim_->parallel_on_read(*this);
-      return;
-    }
     Component* reader = sim_->recording_reader();
     if (reader == nullptr) {
       return;  // read from a test, host code, or an untracked commit()
@@ -74,34 +66,17 @@ class WireBase {
   /// The value changed: mark the pass dirty and queue/wake the readers.
   void on_change() { sim_->wire_changed(*this); }
 
-  /// True while the simulator is running a level across multiple lanes;
-  /// typed Wire subclasses divert their writes through defer_write() then.
-  bool parallel_phase() const { return sim_->parallel_phase_; }
-
-  /// Queue a write for serial application at the current level barrier,
-  /// attributed to the lane's evaluating component (the wire's driver).
-  void defer_write(std::function<void()> apply) const {
-    sim_->parallel_defer_write(std::move(apply));
-  }
-
  private:
   friend class Simulator;
 
   void subscribe(Component* reader) {
     if (reader->subscribed_.insert(this).second) {
       readers_.push_back(reader);
-      // A new reader edge can raise the reader's topological level.
-      sim_->graph_changed();
     }
   }
 
   Simulator* sim_;
   std::vector<Component*> readers_;
-  /// Components observed *driving* this wire from their eval() — the
-  /// writer half of the edge set the levelized schedule is built from.
-  /// Recorded by Simulator::wire_changed (one driver per wire in practice,
-  /// so the dedup scan is a single compare).
-  std::vector<Component*> writers_;
   /// Last sub_epoch_ in which a read of this wire was recorded (see class
   /// comment); mutable because get() is logically const.
   mutable std::uint64_t last_sub_epoch_ = ~std::uint64_t{0};
@@ -129,16 +104,6 @@ class Wire : public WireBase {
   const T& peek() const { return value_; }
 
   void set(const T& v) {
-    if (parallel_phase()) {
-      // One driver per wire, so only this lane's component writes value_;
-      // other lanes may be reading it concurrently, which is why the
-      // mutation itself is deferred to the level barrier (every lane sees
-      // pre-level values; the change then propagates via the scheduler).
-      if (!(value_ == v)) {
-        defer_write([this, v] { set(v); });
-      }
-      return;
-    }
     if (!(value_ == v)) {
       value_ = v;
       on_change();

@@ -661,7 +661,7 @@ std::size_t farm_soak_jobs() {
 /// Acceptance soak: windowed shards over a link that drops, corrupts and
 /// duplicates 5% of upstream words each must stay bit-identical to the
 /// reference model.  Runs inside test_farm so the TSan CI job exercises it
-/// under every settle kernel (FPGAFU_KERNEL=levelized included).
+/// under the default and the event kernel (FPGAFU_KERNEL=event).
 TEST(Farm, WindowedFaultSoakIsBitIdenticalToTheReferenceModel) {
   FarmConfig fc;
   fc.shards = 2;

@@ -1,5 +1,5 @@
 // Differential pinning of the settle kernels (sim::Simulator::Kernel): every
-// scheduled kernel — sensitivity, event, levelized — must be *bit-identical*
+// scheduled kernel — sensitivity, event — must be *bit-identical*
 // to the brute-force reference in everything architecturally observable —
 // same responses, same register/flag files, same cycle counts, same
 // statistics counters, byte-identical waveforms.  The scheduled kernels are
@@ -8,7 +8,7 @@
 // extends.
 //
 // The kernel list lives in ONE place — sim::Simulator::kAllKernels — so a
-// fifth kernel is pinned by this whole file the moment it is added there.
+// fourth kernel is pinned by this whole file the moment it is added there.
 
 #include <gtest/gtest.h>
 
@@ -144,9 +144,9 @@ TEST_P(KernelDifferential, ScheduledKernelsMatchBruteForce) {
     }
     const KernelRun got = run_under(kernel, cfg, c.skeleton, program);
     expect_identical(got, brute, kernel);
-    // The event and levelized kernels extend the sensitivity kernel's
-    // bookkeeping across the clock edge; they must never evaluate more than
-    // within-cycle scheduling alone does.
+    // The event kernel extends the sensitivity kernel's bookkeeping across
+    // the clock edge; it must never evaluate more than within-cycle
+    // scheduling alone does.
     EXPECT_LE(got.evals, sens.evals) << kernel_name(kernel);
   }
 }
@@ -294,7 +294,7 @@ TEST(KernelDifferential, XsortSystemMatchesAcrossKernels) {
   }
 }
 
-// Randomized soak: the aggressive kernels (event, levelized) alone against
+// Randomized soak: the aggressive event kernel alone against
 // the host-side reference model, across more seeds and larger programs than
 // the full matrix (one simulation per seed per kernel keeps it cheap).
 TEST(KernelDifferential, AggressiveKernelSoakAgainstReferenceModel) {
@@ -307,12 +307,9 @@ TEST(KernelDifferential, AggressiveKernelSoakAgainstReferenceModel) {
     opt.include_errors = (seed % 2) == 1;
     const isa::Program program = random_program(cfg, seed, opt);
     const auto expected = host::ReferenceModel(cfg).run(program);
-    for (const auto kernel : {Simulator::Kernel::kEvent,
-                              Simulator::Kernel::kLevelized}) {
-      const KernelRun got = run_under(kernel, cfg, fu::Skeleton::kFsm, program);
-      EXPECT_EQ(got.responses, expected)
-          << kernel_name(kernel) << " seed " << seed;
-    }
+    const KernelRun got =
+        run_under(Simulator::Kernel::kEvent, cfg, fu::Skeleton::kFsm, program);
+    EXPECT_EQ(got.responses, expected) << "event seed " << seed;
   }
 }
 

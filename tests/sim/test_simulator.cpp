@@ -500,6 +500,7 @@ TEST(EventKernel, ResetMidActivityMatchesBruteForceFixedPoint) {
     sim.run(3);
     c.next.set(999);  // stray write mid-activity
     sim.reset();
+    EXPECT_EQ(sim.pending_reevals(), 0u);
     sim.step();
     return std::pair<std::uint64_t, std::uint64_t>(c.value(), d.out.peek());
   };
@@ -517,13 +518,22 @@ TEST(KernelNames, ParseRoundTripsEveryPinnedKernel) {
 }
 
 TEST(KernelNames, ParseRejectsUnknownNameWithTypedError) {
-  try {
-    Simulator::parse_kernel("bogus");
-    FAIL() << "parse_kernel accepted an unknown name";
-  } catch (const SimError& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown settle kernel"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos);
+  // "levelized" named a kernel that no longer exists; it must fail the same
+  // way as any other unknown spelling.
+  for (const std::string name : {"bogus", "levelized"}) {
+    try {
+      Simulator::parse_kernel(name);
+      FAIL() << "parse_kernel accepted an unknown name: " << name;
+    } catch (const SimError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown settle kernel"), std::string::npos);
+      EXPECT_NE(what.find(name), std::string::npos);
+      for (const auto kernel : Simulator::kAllKernels) {
+        EXPECT_NE(what.find(Simulator::kernel_name(kernel)),
+                  std::string::npos)
+            << what;
+      }
+    }
   }
 }
 
@@ -542,68 +552,24 @@ TEST(KernelNames, EnvAcceptsEveryPinnedName) {
 TEST(KernelNames, EnvRejectsUnknownValueNamingTheVariable) {
   // A typo in FPGAFU_KERNEL must fail loudly (naming the variable so the
   // message is actionable), never silently fall back to the default.
-  try {
-    Simulator::kernel_from_env("levelised");
-    FAIL() << "kernel_from_env accepted an unknown value";
-  } catch (const SimError& e) {
-    EXPECT_NE(std::string(e.what()).find("FPGAFU_KERNEL"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("levelised"), std::string::npos);
+  for (const std::string value : {"levelised", "levelized"}) {
+    try {
+      Simulator::kernel_from_env(value.c_str());
+      FAIL() << "kernel_from_env accepted an unknown value: " << value;
+    } catch (const SimError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("FPGAFU_KERNEL"), std::string::npos);
+      EXPECT_NE(what.find(value), std::string::npos);
+    }
   }
 }
 
-TEST(LevelizedKernel, MatchesOtherKernelsWithNoMoreEvalsThanSensitivity) {
-  const auto run = [](Simulator::Kernel k) {
-    Simulator sim;
-    sim.set_kernel(k);
-    Counter c(sim);
-    Doubler d(sim, c.next);
-    std::vector<std::unique_ptr<Quiet>> quiet;
-    for (int i = 0; i < 8; ++i) {
-      quiet.push_back(std::make_unique<Quiet>(sim));
-    }
-    sim.run(50);
-    return std::pair<std::uint64_t, std::uint64_t>(sim.evals_performed(),
-                                                   d.out.peek());
-  };
-  const auto [evals_brute, out_brute] = run(Simulator::Kernel::kBruteForce);
-  const auto [evals_sens, out_sens] = run(Simulator::Kernel::kSensitivity);
-  const auto [evals_lvl, out_lvl] = run(Simulator::Kernel::kLevelized);
-  EXPECT_EQ(out_lvl, out_brute);
-  EXPECT_EQ(out_lvl, out_sens);
-  EXPECT_LE(evals_lvl, evals_sens);
-  EXPECT_LT(evals_lvl, evals_brute);
-}
-
-TEST(LevelizedKernel, ResetMidActivityDropsScheduleStateCorrectly) {
-  // Reset while a sweep's cross-cycle state is hot (wake/commit sets
-  // populated, a stray host-side wire write in flight) must drop every
-  // pre-placed bucket entry and re-prime the wake set, so the first
-  // post-reset cycle reaches exactly the brute-force fixed point.
-  const auto run = [](Simulator::Kernel k) {
-    Simulator sim;
-    sim.set_kernel(k);
-    Counter c(sim);
-    Doubler d(sim, c.next);
-    sim.run(3);
-    c.next.set(999);  // stray write mid-activity
-    sim.reset();
-    EXPECT_EQ(sim.pending_reevals(), 0u);
-    sim.step();
-    return std::pair<std::uint64_t, std::uint64_t>(c.value(), d.out.peek());
-  };
-  const auto brute = run(Simulator::Kernel::kBruteForce);
-  const auto lvl = run(Simulator::Kernel::kLevelized);
-  EXPECT_EQ(lvl, brute);
-  EXPECT_EQ(lvl.first, 1u);
-  EXPECT_EQ(lvl.second, 2u);
-}
-
-TEST(LevelizedKernel, ScheduleRebuildsWhenTopologyChangesMidRun) {
-  // Components added after the first levelized elaboration invalidate the
-  // compiled schedule (graph epoch bump); the next settle must re-levelize
-  // and place the newcomer after its producer.
+TEST(EventKernel, ComponentAddedMidRunJoinsTheNextSettle) {
+  // A component constructed after the event kernel's wake set has gone
+  // quiet is woken by its registration; the next settle must evaluate it
+  // after the producer it reads.
   Simulator sim;
-  sim.set_kernel(Simulator::Kernel::kLevelized);
+  sim.set_kernel(Simulator::Kernel::kEvent);
   Counter c(sim);
   sim.run(3);
   EXPECT_EQ(c.value(), 3u);
@@ -614,70 +580,29 @@ TEST(LevelizedKernel, ScheduleRebuildsWhenTopologyChangesMidRun) {
   EXPECT_EQ(d.out.peek(), 10u);
 }
 
-TEST(LevelizedKernel, KernelSwitchMidRunContinuesFromLiveState) {
+TEST(EventKernel, KernelSwitchMidRunContinuesFromLiveState) {
   Simulator sim;
   Counter c(sim);
   Doubler d(sim, c.next);
   sim.run(3);  // default (sensitivity) kernel
-  sim.set_kernel(Simulator::Kernel::kLevelized);
+  sim.set_kernel(Simulator::Kernel::kEvent);
   sim.run(3);
   EXPECT_EQ(c.value(), 6u);
   EXPECT_EQ(d.out.peek(), 12u);
-  sim.set_kernel(Simulator::Kernel::kEvent);
+  sim.set_kernel(Simulator::Kernel::kBruteForce);
   sim.run(3);
   EXPECT_EQ(c.value(), 9u);
   EXPECT_EQ(d.out.peek(), 18u);
 }
 
-TEST(LevelizedKernel, CombinationalLoopDetected) {
-  // The ring oscillator never converges; the dirty-queue fallback drain
-  // must hit the settle limit and report it, leaving no queued work.
+TEST(EventKernel, CombinationalLoopDetected) {
+  // The ring oscillator never converges; the dirty-queue drain must hit
+  // the settle limit and report it, leaving no queued work.
   Simulator sim;
-  sim.set_kernel(Simulator::Kernel::kLevelized);
+  sim.set_kernel(Simulator::Kernel::kEvent);
   Oscillator osc(sim);
   EXPECT_THROW(sim.step(), SimError);
   EXPECT_EQ(sim.pending_reevals(), 0u);
-}
-
-TEST(LevelizedKernel, ParallelSettleMatchesSingleThreaded) {
-  // A level wide enough to cross kParallelLevelThreshold: one counter
-  // fanning out to 2x-threshold doublers, all in the same level.  The
-  // pooled sweep must reach the identical fixed point, and turning the
-  // pool off again must too.
-  const auto run = [](unsigned threads) {
-    Simulator sim;
-    sim.set_kernel(Simulator::Kernel::kLevelized);
-    sim.set_settle_threads(threads);
-    Counter c(sim);
-    std::vector<std::unique_ptr<Doubler>> fan;
-    for (std::size_t i = 0; i < 2 * Simulator::kParallelLevelThreshold; ++i) {
-      fan.push_back(std::make_unique<Doubler>(sim, c.next));
-    }
-    sim.run(20);
-    std::vector<std::uint64_t> outs;
-    for (const auto& d : fan) {
-      outs.push_back(d->out.peek());
-    }
-    return std::pair<std::uint64_t, std::vector<std::uint64_t>>(c.value(),
-                                                                outs);
-  };
-  const auto serial = run(0);
-  const auto pooled = run(3);
-  EXPECT_EQ(pooled, serial);
-  EXPECT_EQ(serial.first, 20u);
-  EXPECT_EQ(serial.second.front(), 40u);
-
-  // Disabling the pool mid-run hands the sweep back to the owner thread.
-  Simulator sim;
-  sim.set_kernel(Simulator::Kernel::kLevelized);
-  sim.set_settle_threads(2);
-  EXPECT_EQ(sim.settle_threads(), 2u);
-  Counter c(sim);
-  sim.run(2);
-  sim.set_settle_threads(0);
-  EXPECT_EQ(sim.settle_threads(), 0u);
-  sim.run(2);
-  EXPECT_EQ(c.value(), 4u);
 }
 
 TEST(Counters, HandleInterningAndBump) {
