@@ -106,7 +106,12 @@ struct Farm::Shard {
   std::condition_variable cv_work;   ///< worker waits: job queued or stop
   std::condition_variable cv_space;  ///< producers wait: queue below capacity
   std::map<SessionId, std::deque<Job>> pending;  ///< per-tenant sub-queues
-  std::deque<SessionId> rr;   ///< round-robin rotation of queued tenants
+  /// Round-robin cursor: the next pop serves the first queued session whose
+  /// id is >= this, wrapping to the lowest.  The rotation visits sessions in
+  /// id order, not in the order they became queued, so the service order
+  /// (and with it the FU swap schedule) does not depend on when producer
+  /// threads happened to enqueue relative to the worker.
+  SessionId rr_cursor = 0;
   std::size_t queued = 0;     ///< total queued jobs (bounded by capacity)
   std::map<SessionId, std::size_t> unresolved;  ///< per-session accounting
   bool stop = false;
@@ -125,7 +130,12 @@ struct Farm::Shard {
   // -- Published statistics, under stats_m ---------------------------------
   std::mutex stats_m;
   sim::Counters stats;  ///< latest snapshot, under stats_m
-  std::vector<std::uint64_t> latency_snapshot;  ///< under stats_m
+  /// Published job latencies (cycles): the most recent
+  /// kLatencyRingCapacity samples, sample k at index k % capacity.  A
+  /// publish appends only the samples recorded since the last one, so its
+  /// cost does not grow as the ring fills.
+  std::vector<std::uint64_t> latency_ring;  ///< under stats_m
+  std::size_t latency_next = 0;             ///< ring overwrite cursor
 
   // -- Worker-local (inline mode: submitting-thread-local) -----------------
   std::uint64_t jobs_completed = 0;
@@ -133,8 +143,9 @@ struct Farm::Shard {
   std::uint64_t resets = 0;
   std::uint64_t publishes = 0;
   std::uint64_t unpublished = 0;  ///< jobs resolved since the last snapshot
-  std::vector<std::uint64_t> latency_ring;  ///< recent job latencies (cycles)
-  std::size_t latency_next = 0;             ///< ring overwrite cursor
+  /// Latencies recorded since the last snapshot, appended to latency_ring
+  /// by publish_stats().
+  std::vector<std::uint64_t> latency_unpublished;
 
   std::thread thread;
 
@@ -154,27 +165,23 @@ struct Farm::Shard {
     if (job.session != kNoSession) {
       ++unresolved[job.session];
     }
-    std::deque<Job>& q = pending[job.session];
-    if (q.empty()) {
-      rr.push_back(job.session);
-    }
-    q.push_back(std::move(job));
+    pending[job.session].push_back(std::move(job));
     ++queued;
     queued_hint.store(queued, std::memory_order_relaxed);
   }
   bool pop_locked(Job& out) {
-    if (rr.empty()) {
+    if (pending.empty()) {
       return false;
     }
-    const SessionId tenant = rr.front();
-    rr.pop_front();
-    auto it = pending.find(tenant);
+    auto it = pending.lower_bound(rr_cursor);
+    if (it == pending.end()) {
+      it = pending.begin();
+    }
+    rr_cursor = it->first + 1;  // FIFO within a tenant, round-robin across
     out = std::move(it->second.front());
     it->second.pop_front();
     if (it->second.empty()) {
       pending.erase(it);
-    } else {
-      rr.push_back(tenant);  // FIFO within a tenant, round-robin across
     }
     --queued;
     queued_hint.store(queued, std::memory_order_relaxed);
@@ -249,16 +256,11 @@ struct Farm::Shard {
   }
 
   /// Record one completed job's simulated-cycle latency (enqueue stamp to
-  /// now) into the bounded ring behind Farm::job_latency_samples().
+  /// now); the next publish moves it into the bounded ring behind
+  /// Farm::job_latency_samples().
   void record_latency(const Engine& engine, const Job& job) {
     const std::uint64_t now = engine.system.simulator().cycle();
-    const std::uint64_t lat = now - std::min(job.enqueue_cycle, now);
-    if (latency_ring.size() < kLatencyRingCapacity) {
-      latency_ring.push_back(lat);
-    } else {
-      latency_ring[latency_next] = lat;
-      latency_next = (latency_next + 1) % kLatencyRingCapacity;
-    }
+    latency_unpublished.push_back(now - std::min(job.enqueue_cycle, now));
   }
 
   /// Resolve a completed job: success normally, the typed retryable
@@ -336,7 +338,15 @@ void Farm::Shard::publish_stats(const Engine& engine, bool force) {
   unpublished = 0;
   std::lock_guard<std::mutex> lk(stats_m);
   stats = std::move(snap);
-  latency_snapshot = latency_ring;
+  for (const std::uint64_t lat : latency_unpublished) {
+    if (latency_ring.size() < kLatencyRingCapacity) {
+      latency_ring.push_back(lat);
+    } else {
+      latency_ring[latency_next] = lat;
+      latency_next = (latency_next + 1) % kLatencyRingCapacity;
+    }
+  }
+  latency_unpublished.clear();
 }
 
 /// Fault recovery: reset the shard's hardware so later submissions run on
@@ -362,7 +372,6 @@ void Farm::Shard::recover(Engine& engine, const SimError& cause,
       }
     }
     pending.clear();
-    rr.clear();
     queued = 0;
     queued_hint.store(0, std::memory_order_relaxed);
   }
@@ -1123,8 +1132,8 @@ std::vector<std::uint64_t> Farm::job_latency_samples() const {
   std::vector<std::uint64_t> out;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lk(shard->stats_m);
-    out.insert(out.end(), shard->latency_snapshot.begin(),
-               shard->latency_snapshot.end());
+    out.insert(out.end(), shard->latency_ring.begin(),
+               shard->latency_ring.end());
   }
   return out;
 }

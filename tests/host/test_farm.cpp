@@ -432,6 +432,8 @@ TEST(Farm, StatsPublishingIsAmortisedAcrossJobs) {
   // 64 jobs / interval 16 = 4 interval publishes, plus a handful of
   // idle/final flushes — far fewer than the old one-per-job.
   EXPECT_LE(publishes, 16u);
+  // Latency samples ride the same publishes and are exact after shutdown.
+  EXPECT_EQ(farm.job_latency_samples().size(), 64u);
 }
 
 /// Bugfix regression (admission unification): the inline path used to
@@ -644,6 +646,46 @@ TEST(Farm, RoundRobinDequeueKeepsTenantsFair) {
     }
   }
   EXPECT_LE(last_b, 4u) << std::string(order.begin(), order.end());
+}
+
+/// The round-robin rotation visits queued sessions in session-id order,
+/// not in the order they became queued, so which producer thread won the
+/// race to the queue does not change the service order.
+TEST(Farm, RoundRobinOrderDoesNotDependOnWhoQueuedFirst) {
+  FarmConfig fc;
+  fc.shards = 1;
+  fc.transport.window = 1;  // nothing dequeues while the stall runs
+  Farm farm(fc);
+  // The stall's session has the lowest id, so it is served first however
+  // far the worker got before the others queued.
+  const Farm::SessionId s = farm.create_session();
+  const Farm::SessionId a = farm.create_session();
+  const Farm::SessionId b = farm.create_session();
+  ASSERT_LT(s, a);
+  ASSERT_LT(a, b);
+
+  auto stall = farm.submit(s, chunky_program(300));
+
+  std::mutex m;
+  std::condition_variable cv;
+  std::string order;
+  auto record = [&](char tag) {
+    return [&, tag](std::vector<msg::Response>, std::exception_ptr) {
+      std::lock_guard<std::mutex> lk(m);
+      order.push_back(tag);
+      cv.notify_all();
+    };
+  };
+  // b queues first, then a.
+  farm.submit_async(b, selfcontained_program(1720), record('b'));
+  farm.submit_async(b, selfcontained_program(1721), record('b'));
+  farm.submit_async(a, selfcontained_program(1722), record('a'));
+  farm.submit_async(a, selfcontained_program(1723), record('a'));
+
+  stall.get();
+  std::unique_lock<std::mutex> lk(m);
+  cv.wait(lk, [&] { return order.size() == 4; });
+  EXPECT_EQ(order, "abab");
 }
 
 /// Iteration count for the windowed farm soak; CI exports
