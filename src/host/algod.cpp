@@ -126,7 +126,9 @@ std::uint64_t FuManager::swap_cost(
   std::uint64_t cost = 0;
   for (const auto& name : names) {
     const auto it = images_.find(name);
-    check(it != images_.end(), "algod: image '" + name + "' not registered");
+    if (it == images_.end()) {
+      throw SimError("algod: image '" + name + "' not registered");
+    }
     if (!resident(name)) {
       cost += it->second.load_cycles;
     }
@@ -143,7 +145,9 @@ void FuManager::ensure_resident_all(const std::vector<std::string>& names) {
   std::size_t missing_cost = 0;
   for (const auto& name : names) {
     const auto it = images_.find(name);
-    check(it != images_.end(), "algod: image '" + name + "' not registered");
+    if (it == images_.end()) {
+      throw SimError("algod: image '" + name + "' not registered");
+    }
     if (resident(name)) {
       stats_.bump(hits_);
       config_.policy->on_hit(name, ++touch_tick_, it->second.load_cycles);
@@ -156,9 +160,11 @@ void FuManager::ensure_resident_all(const std::vector<std::string>& names) {
   if (missing.empty()) {
     return;
   }
-  check(missing_cost <= config_.slots,
-        "algod: request needs " + std::to_string(missing_cost) +
-            " free slots but the budget is " + std::to_string(config_.slots));
+  if (missing_cost > config_.slots) {
+    throw SimError("algod: request needs " + std::to_string(missing_cost) +
+                   " free slots but the budget is " +
+                   std::to_string(config_.slots));
+  }
   make_room(missing_cost, names);
   for (const auto& name : missing) {
     stats_.bump(misses_);

@@ -77,8 +77,10 @@ isa::Word Coprocessor::read_reg(isa::RegNum reg) {
   get.src1 = reg;
   submit_word(get.encode());
   const msg::Response r = wait_response();
-  check(r.type == msg::Response::Type::kData,
-        "read_reg received unexpected response: " + msg::to_string(r));
+  if (r.type != msg::Response::Type::kData) {
+    throw SimError("read_reg received unexpected response: " +
+                   msg::to_string(r));
+  }
   return r.payload;
 }
 
@@ -89,8 +91,10 @@ isa::FlagWord Coprocessor::read_flags(isa::RegNum flag_reg) {
   getf.src_flag = flag_reg;
   submit_word(getf.encode());
   const msg::Response r = wait_response();
-  check(r.type == msg::Response::Type::kFlags,
-        "read_flags received unexpected response: " + msg::to_string(r));
+  if (r.type != msg::Response::Type::kFlags) {
+    throw SimError("read_flags received unexpected response: " +
+                   msg::to_string(r));
+  }
   return r.code;
 }
 
@@ -109,8 +113,10 @@ std::vector<isa::Word> Coprocessor::read_regs(isa::RegNum base,
   std::vector<isa::Word> out;
   out.reserve(count);
   for (const msg::Response& r : responses) {
-    check(r.type == msg::Response::Type::kData,
-          "read_regs received unexpected response: " + msg::to_string(r));
+    if (r.type != msg::Response::Type::kData) {
+      throw SimError("read_regs received unexpected response: " +
+                     msg::to_string(r));
+    }
     out.push_back(r.payload);
   }
   return out;
@@ -122,8 +128,9 @@ void Coprocessor::sync() {
   s.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kSync);
   submit_word(s.encode());
   const msg::Response r = wait_response();
-  check(r.type == msg::Response::Type::kSyncDone,
-        "sync received unexpected response: " + msg::to_string(r));
+  if (r.type != msg::Response::Type::kSyncDone) {
+    throw SimError("sync received unexpected response: " + msg::to_string(r));
+  }
 }
 
 }  // namespace fpgafu::host

@@ -6,9 +6,9 @@
 
 namespace fpgafu::host {
 
-void Deadline::enforce(const std::string& what) const {
+void Deadline::enforce(std::string_view what) const {
   if (expired()) {
-    throw SimError(what + ": watchdog expired after " +
+    throw SimError(std::string(what) + ": watchdog expired after " +
                    std::to_string(budget_) + " cycles");
   }
 }
@@ -72,22 +72,7 @@ void Driver::reset() {
   tx_words_.clear();
 }
 
-std::uint64_t Pump::run_until(const std::function<bool()>& done,
-                              Deadline deadline, const std::string& what) {
-  std::uint64_t cycles = 0;
-  for (;;) {
-    driver_->service();
-    if (done()) {
-      return cycles;
-    }
-    deadline.observe();
-    deadline.enforce(what);
-    sim_->step();
-    ++cycles;
-  }
-}
-
-void Pump::flush(Deadline deadline, const std::string& what) {
+void Pump::flush(Deadline deadline, std::string_view what) {
   run_until([this] { return driver_->tx_drained(); }, deadline, what);
 }
 

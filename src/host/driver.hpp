@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "isa/program.hpp"
 #include "msg/response.hpp"
@@ -67,7 +67,7 @@ class Deadline {
 
   /// Throw SimError("<what>: watchdog expired after N cycles") when
   /// expired.  `what` names the operation for the diagnostic.
-  void enforce(const std::string& what) const;
+  void enforce(std::string_view what) const;
 
   /// Fold elapsed cycles into the consumed-budget count and re-anchor at
   /// the current cycle.  The Pump calls this every iteration, so a reset
@@ -177,12 +177,30 @@ class Pump {
   /// enforcing `deadline` before every step (diagnostics name `what`).
   /// Returns the number of cycles consumed.  `done` may throw; the clock
   /// stops where it was.
-  std::uint64_t run_until(const std::function<bool()>& done,
-                          Deadline deadline, const std::string& what);
+  ///
+  /// A template rather than a std::function parameter: the blocking loops
+  /// pass closures over several locals, which std::function would copy to
+  /// the heap on every call, and `what` is a view so a literal label costs
+  /// nothing unless the watchdog fires.
+  template <typename Done>
+  std::uint64_t run_until(Done&& done, Deadline deadline,
+                          std::string_view what) {
+    std::uint64_t cycles = 0;
+    for (;;) {
+      driver_->service();
+      if (done()) {
+        return cycles;
+      }
+      deadline.observe();
+      deadline.enforce(what);
+      sim_->step();
+      ++cycles;
+    }
+  }
 
   /// Block until the driver's transmit queue has fully drained into the
   /// link (the bounded-buffer backpressure path).
-  void flush(Deadline deadline, const std::string& what);
+  void flush(Deadline deadline, std::string_view what);
 
   sim::Simulator& simulator() { return *sim_; }
   Driver& driver() { return *driver_; }

@@ -267,8 +267,10 @@ isa::Program CompiledExpr::program(
         break;
       case Step::Kind::kPutInput: {
         const auto it = inputs.find(step.input_name);
-        check(it != inputs.end(),
-              "unbound expression input '" + step.input_name + "'");
+        if (it == inputs.end()) {
+          throw SimError("unbound expression input '" + step.input_name +
+                         "'");
+        }
         p.emit_put(step.dst, it->second);
         break;
       }

@@ -418,10 +418,13 @@ void Farm::Shard::worker(const FarmConfig& config) {
   /// a later job around a held one would reorder a session's register
   /// semantics.
   std::deque<Job> held;
-  /// Coalescing only: the cycle a held *partial* frame must flush at.
-  /// Armed when the worker first decides to keep the frame open for more
-  /// arrivals; cleared on every frame submission.
-  std::optional<std::uint64_t> flush_at;
+  /// Coalescing only: the cycle a held *partial* frame must flush at, or
+  /// kNoFlush.  Armed when the worker first decides to keep the frame open
+  /// for more arrivals; cleared on every frame submission.  A sentinel, not
+  /// std::optional: with the pump predicate inlined into this loop, GCC 12
+  /// at -O3 reports a false -Wmaybe-uninitialized on the optional's value.
+  constexpr std::uint64_t kNoFlush = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t flush_at = kNoFlush;
 
   auto active_index = [&](ReliableTransport::ProgramId id) {
     for (std::size_t i = 0; i < active_ids.size(); ++i) {
@@ -520,7 +523,7 @@ void Farm::Shard::worker(const FarmConfig& config) {
           // image.  A swap boundary also flushes immediately — no hold.
           if (front_swap && !ensure_required(*engine, held.front())) {
             held.pop_front();  // unsatisfiable; job failed typed
-            flush_at.reset();
+            flush_at = kNoFlush;
             continue;
           }
           std::size_t count = 1;
@@ -541,11 +544,11 @@ void Farm::Shard::worker(const FarmConfig& config) {
           const bool partial = count == held.size() && count < max_members;
           if (!front_swap && partial && config.coalesce_flush_cycles > 0 &&
               !draining) {
-            if (!flush_at) {
+            if (flush_at == kNoFlush) {
               flush_at = engine->system.simulator().cycle() +
                          config.coalesce_flush_cycles;
             }
-            if (engine->system.simulator().cycle() < *flush_at) {
+            if (engine->system.simulator().cycle() < flush_at) {
               break;  // keep the frame open; the pump watches flush_at
             }
           }
@@ -571,10 +574,10 @@ void Farm::Shard::worker(const FarmConfig& config) {
             active.push_back(std::move(held.front()));
             held.pop_front();
           }
-          flush_at.reset();
+          flush_at = kNoFlush;
         }
         if (held.empty()) {
-          flush_at.reset();
+          flush_at = kNoFlush;
         }
       }
       if (active.empty() && held.empty()) {
@@ -602,7 +605,7 @@ void Farm::Shard::worker(const FarmConfig& config) {
             if (!events.empty() || !comps.empty()) {
               return true;
             }
-            if (flush_at) {
+            if (flush_at != kNoFlush) {
               // A partial frame is being held open: wake to grow it when
               // more work arrives, or to flush it when the timer expires.
               // Never exit on an empty window here — that would spin the
@@ -610,7 +613,7 @@ void Farm::Shard::worker(const FarmConfig& config) {
               if (queued_hint.load(std::memory_order_relaxed) > 0) {
                 return true;
               }
-              return engine->system.simulator().cycle() >= *flush_at;
+              return engine->system.simulator().cycle() >= flush_at;
             }
             // Pull new queued work only while nothing is held: held jobs
             // issue strictly FIFO, so with a swap-blocked job at the front

@@ -59,11 +59,12 @@ constexpr bool fits_unsigned(std::uint64_t value, unsigned width) {
 /// to the message serialiser, strong enough to catch the single-bit upsets
 /// and torn frames the transport layer must detect.
 constexpr std::uint16_t crc16_byte(std::uint16_t crc, std::uint8_t byte) {
-  crc = static_cast<std::uint16_t>(crc ^ (static_cast<std::uint16_t>(byte) << 8));
+  // Shift in `unsigned`: a uint16_t operand promotes to (signed) int.
+  crc = static_cast<std::uint16_t>(crc ^ (static_cast<unsigned>(byte) << 8u));
   for (int i = 0; i < 8; ++i) {
-    crc = (crc & 0x8000u) != 0
-              ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021u)
-              : static_cast<std::uint16_t>(crc << 1);
+    const unsigned shifted = static_cast<unsigned>(crc) << 1u;
+    crc = (crc & 0x8000u) != 0 ? static_cast<std::uint16_t>(shifted ^ 0x1021u)
+                               : static_cast<std::uint16_t>(shifted);
   }
   return crc;
 }

@@ -14,6 +14,7 @@
 #include "host/farm.hpp"
 #include "host/reference_model.hpp"
 #include "isa/assembler.hpp"
+#include "support/error_text.hpp"
 #include "util/rng.hpp"
 
 namespace fpgafu::host {
@@ -152,6 +153,23 @@ TEST(Algod, MissLoadsHitReusesAndCountersTrack) {
     GET r3
   )"));
   EXPECT_EQ(r[0].payload, 13u);
+}
+
+TEST(Algod, UnregisteredImageAndOversizedRequestErrorText) {
+  top::System sys(bare_system());
+  Coprocessor copro(sys);
+  FuManagerConfig mcfg;
+  mcfg.slots = 1;
+  FuManager mgr(copro, mcfg);
+  mgr.register_image(image_of("arith", isa::fc::kArith, 10));
+  mgr.register_image(image_of("logic", isa::fc::kLogic, 10));
+  EXPECT_EQ(testing::sim_error_text([&] { mgr.ensure_resident("x"); }),
+            "algod: image 'x' not registered");
+  EXPECT_EQ(testing::sim_error_text([&] { mgr.swap_cost({"arith", "x"}); }),
+            "algod: image 'x' not registered");
+  EXPECT_EQ(testing::sim_error_text(
+                [&] { mgr.ensure_resident_all({"arith", "logic"}); }),
+            "algod: request needs 2 free slots but the budget is 1");
 }
 
 TEST(Algod, EvictionSwapsUnderSlotPressure) {

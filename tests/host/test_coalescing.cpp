@@ -6,6 +6,7 @@
 #include "host/reference_model.hpp"
 #include "host/reliable_transport.hpp"
 #include "isa/assembler.hpp"
+#include "support/error_text.hpp"
 #include "support/program_gen.hpp"
 #include "util/error.hpp"
 
@@ -395,8 +396,11 @@ TEST(Coalescing, RejectsEmptyAndOversubmission) {
   const isa::Program p = Assembler::assemble("PUT r1, #1");
   transport.submit_coalesced({{&p, std::nullopt, false}});
   EXPECT_TRUE(transport.window_full());
-  EXPECT_THROW(transport.submit_coalesced({{&p, std::nullopt, false}}),
-               SimError);
+  EXPECT_EQ(testing::sim_error_text([&] {
+              transport.submit_coalesced({{&p, std::nullopt, false}});
+            }),
+            "ReliableTransport::submit_coalesced: window is full (1 frames "
+            "in flight)");
   transport.abort_in_flight();
 }
 

@@ -6,6 +6,7 @@
 #include "fu/prng_unit.hpp"
 #include "isa/assembler.hpp"
 #include "isa/rtm_ops.hpp"
+#include "support/error_text.hpp"
 #include "top/system.hpp"
 #include "util/rng.hpp"
 
@@ -46,8 +47,12 @@ TEST(Coprocessor, ReadRegOfBadRegisterThrows) {
   cfg.rtm = rcfg;
   top::System sys(cfg);
   Coprocessor copro(sys);
-  // The error response does not match the expected data record.
-  EXPECT_THROW(copro.read_reg(200), SimError);
+  // The error response does not match the expected data record.  It is
+  // the session's first response (seq 0.0) and carries the offending
+  // GET r200 instruction word as its payload.
+  EXPECT_EQ(testing::sim_error_text([&] { copro.read_reg(200); }),
+            "read_reg received unexpected response: ERROR seq=0.0 code=0x02 "
+            "payload=0x600000000c800");
 }
 
 TEST(Coprocessor, AsyncSubmitPollOverlap) {

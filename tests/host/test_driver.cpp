@@ -5,6 +5,7 @@
 #include "host/coprocessor.hpp"
 #include "host/reference_model.hpp"
 #include "isa/rtm_ops.hpp"
+#include "support/error_text.hpp"
 #include "top/system.hpp"
 #include "util/error.hpp"
 
@@ -141,17 +142,25 @@ TEST(Pump, RunUntilCountsCyclesAndEnforcesDeadline) {
 }
 
 TEST(Pump, DeadlineDiagnosticNamesTheOperation) {
+  // Literal and std::string labels give the same text.
   top::System sys({});
   Driver driver(sys);
   Pump pump(sys.simulator(), driver);
-  try {
-    pump.run_until([] { return false; }, Deadline(sys.simulator(), 3),
-                   "MyOperation");
-    FAIL() << "expected SimError";
-  } catch (const SimError& e) {
-    EXPECT_NE(std::string(e.what()).find("MyOperation"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("3 cycles"), std::string::npos);
-  }
+  EXPECT_EQ(testing::sim_error_text([&] {
+              pump.run_until([] { return false; },
+                             Deadline(sys.simulator(), 3), "MyOperation");
+            }),
+            "MyOperation: watchdog expired after 3 cycles");
+  const std::string name = "shard";
+  const std::string label = "algod: load '" + name + "'";
+  EXPECT_EQ(testing::sim_error_text([&] {
+              pump.run_until([] { return false; },
+                             Deadline(sys.simulator(), 5), label);
+            }),
+            "algod: load 'shard': watchdog expired after 5 cycles");
+  Deadline spent(sys.simulator(), 0);
+  EXPECT_EQ(testing::sim_error_text([&] { spent.enforce("Deadline"); }),
+            "Deadline: watchdog expired after 0 cycles");
 }
 
 TEST(Pump, PredicateExceptionStopsTheClockInPlace) {

@@ -7,6 +7,7 @@
 
 #include "host/reference_model.hpp"
 #include "isa/assembler.hpp"
+#include "support/error_text.hpp"
 #include "support/program_gen.hpp"
 #include "util/error.hpp"
 
@@ -255,6 +256,24 @@ TEST(ReliableTransport, PipelinedWindowMatchesSequentialCalls) {
 /// earlier program's (response-less) write, even though both are in flight
 /// at once — and a pure-write program still surfaces a (response-free)
 /// completion.
+TEST(ReliableTransport, SubmitOnFullWindowErrorText) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  TransportConfig tcfg;
+  tcfg.window = 2;
+  ReliableTransport transport(copro, tcfg);
+  const isa::Program p = isa::Assembler::assemble("PUT r1, #1");
+  transport.submit(p);
+  transport.submit(p);
+  ASSERT_TRUE(transport.window_full());
+  EXPECT_EQ(testing::sim_error_text([&] { transport.submit(p); }),
+            "ReliableTransport::submit: window is full (2 programs in "
+            "flight)");
+  transport.abort_in_flight();
+}
+
 TEST(ReliableTransport, WindowPreservesCrossProgramWriteOrder) {
   top::SystemConfig cfg;
   cfg.rtm = small_rtm();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -72,7 +74,12 @@ TEST_P(MulDivOps, MatchesNativeSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, MulDivOps, ::testing::Values(8u, 16u, 32u),
                          [](const ::testing::TestParamInfo<unsigned>& pinfo) {
-                           return "w" + std::to_string(pinfo.param);
+                           // Appended rather than `"w" + to_string(...)`:
+                           // GCC 12 at -O3 reports a false -Wrestrict on
+                           // the operator+ form.
+                           std::string name = "w";
+                           name += std::to_string(pinfo.param);
+                           return name;
                          });
 
 TEST(MulDiv, Width64SignedHighProduct) {

@@ -3,6 +3,7 @@
 #include "rtm/fu_table.hpp"
 #include "rtm/lock_manager.hpp"
 #include "rtm/register_file.hpp"
+#include "support/error_text.hpp"
 
 namespace fpgafu::rtm {
 namespace {
@@ -79,6 +80,9 @@ TEST(FunctionalUnitTable, AttachAndLookup) {
   EXPECT_THROW(t.attach(0x10, b), SimError);  // duplicate code
   EXPECT_THROW(t.attach(isa::fc::kRtm, b), SimError);
   EXPECT_THROW(t.index_of(0x55), SimError);
+  t.detach(0x10);
+  EXPECT_EQ(testing::sim_error_text([&] { t.unit(0); }),
+            "detached unit slot");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "support/error_text.hpp"
 #include "util/error.hpp"
 
 namespace fpgafu {
@@ -57,7 +58,8 @@ TEST(RingBuffer, OverflowUnderflowThrow) {
   EXPECT_THROW(rb.pop(), SimError);
   EXPECT_THROW(rb.front(), SimError);
   rb.push(1);
-  EXPECT_THROW(rb.push(2), SimError);
+  EXPECT_EQ(testing::sim_error_text([&] { rb.push(2); }),
+            "RingBuffer::push on full buffer");
 }
 
 TEST(RingBuffer, ZeroCapacityRejected) {
