@@ -209,6 +209,17 @@ struct Farm::Shard {
     if (!engine.manager || job.required.empty()) {
       return true;
     }
+    if (needs_swap(engine, job)) {
+      // An empty window only means every write group was handed to the
+      // driver.  Let them reach their units first: an eviction would turn
+      // a trailing write into an unanswered kUnitUnavailable and lose it.
+      engine.copro.pump().run_until(
+          [&] {
+            return engine.copro.driver().tx_drained() && engine.system.idle();
+          },
+          Deadline::unbounded(engine.system.simulator()),
+          "Farm: quiesce before an FU swap");
+    }
     try {
       engine.manager->ensure_resident_all(job.required);
       return true;
