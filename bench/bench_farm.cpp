@@ -179,17 +179,15 @@ void BM_FarmReadStream(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(jobs), benchmark::Counter::kIsRate);
 }
 
-/// Experiment E16: tiny-program coalescing.  Twelve sessions each own a
+/// Experiments E16/E20: tiny-program streams.  Twelve sessions each own a
 /// disjoint register pair and stream three-instruction jobs
-/// (PUT / ADD / GET — one write barrier per job).  Uncoalesced, the
-/// cross-program write barrier serialises the window at about one link
-/// round trip per job no matter how deep it is; coalesced, members from
-/// different sessions are register-disjoint, the per-register frame
-/// barrier finds no conflicts, and one sequence-numbered frame carries
-/// coalesce_max_programs jobs back to back.  Reported alongside wall-clock
-/// jobs/s: cycles_per_job = farm.shard_cycles / jobs, the deterministic
-/// simulated-cycle cost CI's perf-smoke step asserts the coalescing win
-/// on.
+/// (PUT / ADD / GET).  The per-register write barrier finds no conflicts
+/// between sessions, so a deep window of one-member frames and a coalesced
+/// frame both issue the jobs back to back at the downlink's word rate
+/// (about 8 cycles per job); window 1 pays one round trip per job.
+/// Reported alongside wall-clock jobs/s: cycles_per_job =
+/// farm.shard_cycles / jobs, the deterministic simulated-cycle cost CI's
+/// perf-smoke step checks both sides against.
 void BM_FarmTinyProgramStream(benchmark::State& state) {
   const std::size_t window = static_cast<std::size_t>(state.range(0));
   const std::size_t coalesce = static_cast<std::size_t>(state.range(1));
@@ -305,8 +303,8 @@ void register_shard_sweep() {
                  ->Unit(benchmark::kMillisecond)
                  ->UseRealTime()
                  ->MeasureProcessCPUTime();
-  // Uncoalesced baselines across window depths (the write barrier keeps
-  // them all near one round trip per job), then coalesced rows.
+  // Uncoalesced rows across window depths (window 1 is call-and-wait;
+  // deeper windows pipeline to the wire floor), then coalesced rows.
   for (long w : {1, 8, 32}) {
     ts->Args({w, 1});
   }

@@ -54,8 +54,7 @@ std::optional<msg::Response> Driver::poll() {
       frame[i] = rx_words_[i];
     }
     if (msg::Response::frame_ok(frame)) {
-      rx_words_.erase(rx_words_.begin(),
-                      rx_words_.begin() + msg::kLinkWordsPerResponse);
+      rx_words_.pop_front(msg::kLinkWordsPerResponse);
       ++responses_received_;
       return msg::Response::from_link_words(frame);
     }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <optional>
 #include <string>
@@ -11,6 +10,7 @@
 #include "msg/response.hpp"
 #include "sim/trace.hpp"
 #include "top/system.hpp"
+#include "util/sliding_queue.hpp"
 
 namespace fpgafu::host {
 
@@ -153,8 +153,8 @@ class Driver {
   void sync_reset();
 
   top::System* system_;
-  std::deque<msg::LinkWord> tx_words_;  ///< queued, not yet on the link
-  std::deque<msg::LinkWord> rx_words_;  ///< deframing window
+  SlidingQueue<msg::LinkWord> tx_words_;  ///< queued, not yet on the link
+  SlidingQueue<msg::LinkWord> rx_words_;  ///< deframing window
   std::uint64_t reset_generation_;
   std::uint64_t responses_received_ = 0;
   sim::Counters stats_;

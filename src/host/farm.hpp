@@ -73,15 +73,16 @@ struct FarmConfig {
   /// Worker shards.  Each shard is an independent top::System +
   /// ReliableTransport owned by one worker thread.  0 means *inline*: no
   /// threads, one shard owned by the calling thread, submit() executes
-  /// synchronously — the degenerate farm, bit-identical to a plain
+  /// synchronously through the same scheduling step a worker runs — the
+  /// degenerate farm, response-identical to a plain
   /// Coprocessor/ReliableTransport call (tests pin this).
   std::size_t shards = 1;
   /// Per-shard system configuration (every shard is identical).
   top::SystemConfig system;
-  /// Per-shard transport tuning.  `transport.window` also sizes the worker
-  /// loop: with window > 1 each shard keeps that many programs in flight
-  /// at once (pipelined issue, in-order responses) instead of one
-  /// call-and-wait round trip per job.
+  /// Per-shard transport tuning.  `transport.window` also sizes the
+  /// scheduler: with window > 1 each shard (inline mode included) keeps
+  /// that many frames in flight at once (pipelined issue, in-order
+  /// responses) instead of one call-and-wait round trip per job.
   TransportConfig transport;
   /// Bounded submission queue depth per shard (jobs waiting for a window
   /// slot; in-flight jobs are not counted against it).
@@ -104,12 +105,12 @@ struct FarmConfig {
   std::size_t stats_publish_interval = 16;
 
   // -- Program coalescing ----------------------------------------------------
-  /// Member programs a worker packs into one submission frame
-  /// (ReliableTransport::submit_coalesced): a frame occupies one window
-  /// slot, pays one watchdog and one transmission, and its
-  /// register-disjoint members skip the per-program write-barrier round
-  /// trip.  1 (the default) disables coalescing — the worker issues one
-  /// program per frame through exactly the pre-coalescing path.
+  /// Member programs a shard packs into one submission frame
+  /// (ReliableTransport::submit_frame): a frame occupies one window slot
+  /// and pays one watchdog and one transmission.  1 (the default) makes
+  /// every job a one-member frame.  The per-register write barrier is the
+  /// same either way, so coalescing saves host work, not simulated
+  /// cycles a deep enough window would also save.
   std::size_t coalesce_max_programs = 1;
   /// Cap on one frame's total instruction-stream words; a frame closes
   /// early when the next member would push it past the cap.  0 = no cap.
@@ -156,22 +157,23 @@ struct FarmConfig {
 /// submit() round-robins across shards and must treat each job as
 /// self-contained.
 ///
-/// **Windowed pipelining.**  With `transport.window > 1` a worker keeps up
-/// to that many jobs in flight on its shard at once: the transport issues
-/// them in submission order over one wire (so session register semantics
-/// are preserved — a later job's reads still execute after an earlier
-/// job's writes) and completes each as its last response lands.  Jobs of
-/// *different* sessions interleave freely inside a window.
+/// **One scheduling step.**  Every shard, worker thread or inline, runs the
+/// same step: pop queued jobs, issue FIFO frames, pump the clock, resolve
+/// (docs/FARM.md).  With `transport.window > 1` a shard keeps up to that
+/// many frames in flight at once: the transport issues them in submission
+/// order over one wire under one per-register write barrier (so session
+/// register semantics are preserved — a later job's reads still execute
+/// after an earlier job's writes) and completes each job as its last
+/// response lands.  Jobs of *different* sessions interleave freely.
 ///
-/// **Coalescing.**  With `coalesce_max_programs > 1` a worker gathers up
+/// **Coalescing.**  With `coalesce_max_programs > 1` a shard gathers up
 /// to that many queued jobs (possibly from different sessions — the
 /// round-robin dequeue keeps its fairness) into ONE submission frame, up
 /// to `coalesce_max_words` stream words, holding a partial frame open for
-/// at most `coalesce_flush_cycles` before flushing.  Members complete
-/// individually; FU swaps still only happen at frame boundaries on an
-/// empty window (a job whose required images are not resident cuts the
-/// frame before it).  Disabled (the default), the worker takes the
-/// pre-coalescing path bit for bit.
+/// at most `coalesce_flush_cycles` before flushing (never in inline
+/// mode).  Members complete individually.  FU swaps happen only at frame
+/// boundaries on an empty window, after the wire has quiesced (a job
+/// whose required images are not resident cuts the frame before it).
 ///
 /// **Admission.**  Each shard's queue is bounded
 /// (FarmConfig::queue_capacity).  A full queue blocks the producer
@@ -301,7 +303,13 @@ class Farm {
   struct Shard;
   struct Job;
 
-  void enqueue(std::size_t shard_index, Job job);
+  /// A job with its program, budget, session and the session's required
+  /// images; the caller attaches the completion surface.
+  Job make_job(SessionId session, isa::Program program,
+               std::optional<std::uint64_t> budget_cycles) const;
+  /// Admission and queueing: a session's shard, or round-robin for
+  /// session-less jobs.  Inline mode then drains the queue.
+  void enqueue(Job job);
   /// Required image set a session declared (empty for plain sessions).
   std::vector<std::string> required_of(SessionId session) const;
 

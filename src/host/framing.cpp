@@ -7,6 +7,12 @@ namespace fpgafu::host {
 
 std::vector<InstructionGroup> split_groups(const isa::Program& program) {
   std::vector<InstructionGroup> groups;
+  append_groups(program, groups);
+  return groups;
+}
+
+void append_groups(const isa::Program& program,
+                   std::vector<InstructionGroup>& groups) {
   const auto& words = program.words();
   for (std::size_t i = 0; i < words.size(); ++i) {
     InstructionGroup group;
@@ -28,7 +34,6 @@ std::vector<InstructionGroup> split_groups(const isa::Program& program) {
     }
     groups.push_back(std::move(group));
   }
-  return groups;
 }
 
 ResponsePrediction predict(const isa::Instruction& inst,
@@ -102,8 +107,7 @@ GroupEffects group_effects(const isa::Instruction& inst,
                            const rtm::FunctionalUnitTable& table) {
   auto data_ok = [&](isa::RegNum r) { return r < config.data_regs; };
   auto flag_ok = [&](isa::RegNum r) { return r < config.flag_regs; };
-  GroupEffects e;
-  e.exact = true;  // every early return below is a complete footprint
+  GroupEffects e;  // every early return below is a complete footprint
 
   using isa::RtmOp;
   if (inst.function == isa::fc::kRtm) {

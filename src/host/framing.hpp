@@ -23,6 +23,11 @@ struct InstructionGroup {
 /// program ends inside a PUT/PUTV payload.
 std::vector<InstructionGroup> split_groups(const isa::Program& program);
 
+/// split_groups() appending to `out` (ReliableTransport builds a frame's
+/// group list in place).  On a throw, `out` may hold a partial split.
+void append_groups(const isa::Program& program,
+                   std::vector<InstructionGroup>& out);
+
 /// What one instruction group will send back, predicted host-side.
 struct ResponsePrediction {
   /// Responses the group produces (a GETV yields `aux`, most writes zero).
@@ -44,7 +49,7 @@ ResponsePrediction predict(const isa::Instruction& inst,
                            const rtm::FunctionalUnitTable& table);
 
 /// Register footprint of one instruction group, host-side — what the
-/// transport's *frame-granularity* write barrier reasons about.  For a
+/// transport's per-register write barrier reasons about.  For a
 /// retriable (read-class) group the read sets name every register whose
 /// VALUE its responses depend on: a retried GET returns the same bytes iff
 /// nothing wrote its source register in between.  Error-predicted groups,
@@ -62,17 +67,10 @@ struct GroupEffects {
   RegSet data_writes;
   RegSet flag_reads;
   RegSet flag_writes;
-  /// False = footprint unknown (a group the host never analysed); the
-  /// barrier must treat it as conflicting with everything.
-  bool exact = false;
 
   /// Would issuing this group as a *write* while `reader` is outstanding
-  /// let a retry of `reader` observe a newer value?  Conservative (true)
-  /// whenever either footprint is not exact.
+  /// let a retry of `reader` observe a newer value?
   bool writes_conflict_with_reads_of(const GroupEffects& reader) const {
-    if (!exact || !reader.exact) {
-      return true;
-    }
     return (data_writes & reader.data_reads).any() ||
            (flag_writes & reader.flag_reads).any();
   }

@@ -65,12 +65,6 @@ void ReliableTransport::sync_generation() {
   }
 }
 
-void ReliableTransport::push_frame(Flight&& f) {
-  window_.push_back(std::move(f));
-  unissued_ = true;
-  emit_pending_ = true;  // a pure-write frame may already be complete
-}
-
 ReliableTransport::ProgramId ReliableTransport::submit(
     const isa::Program& program, std::optional<std::uint64_t> budget_cycles,
     bool stream) {
@@ -78,29 +72,8 @@ ReliableTransport::ProgramId ReliableTransport::submit(
     throw SimError("ReliableTransport::submit: window is full (" +
                    std::to_string(config_.window) + " programs in flight)");
   }
-  if (window_.empty() && outstanding_.empty()) {
-    // A new exchange may follow an external reset; re-mirror the decoder.
-    sync_generation();
-  }
-  const rtm::Rtm& rtm = copro_->system().rtm();
-  Flight f;
-  f.id = next_program_id_++;
-  f.groups = split_groups(program);
-  f.slots.resize(f.groups.size());
-  for (std::size_t i = 0; i < f.groups.size(); ++i) {
-    f.slots[i].pred = predict(f.groups[i].inst, rtm.config(), rtm.table());
-    f.slots[i].program_seq = static_cast<std::uint16_t>(i);
-    f.slots[i].done = f.slots[i].pred.count == 0;
-  }
-  Member m;
-  m.id = f.id;
-  m.first_slot = 0;
-  m.slot_count = f.slots.size();
-  m.stream = stream;
-  f.members.push_back(std::move(m));
-  f.budget = budget_cycles.value_or(config_.max_cycles);
-  push_frame(std::move(f));
-  return window_.back().id;
+  const CoalescedItem item{&program, budget_cycles, stream};
+  return submit_frame(&item, 1);
 }
 
 std::vector<ReliableTransport::ProgramId> ReliableTransport::submit_coalesced(
@@ -110,47 +83,69 @@ std::vector<ReliableTransport::ProgramId> ReliableTransport::submit_coalesced(
     throw SimError("ReliableTransport::submit_coalesced: window is full (" +
                    std::to_string(config_.window) + " frames in flight)");
   }
+  const ProgramId first = submit_frame(items.data(), items.size());
+  std::vector<ProgramId> ids(items.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ids[k] = first + k;
+  }
+  return ids;
+}
+
+ReliableTransport::ProgramId ReliableTransport::submit_frame(
+    const CoalescedItem* items, std::size_t count) {
+  check(count > 0, "ReliableTransport::submit_frame: empty frame");
+  if (window_full()) {
+    throw SimError("ReliableTransport::submit_frame: window is full (" +
+                   std::to_string(config_.window) + " frames in flight)");
+  }
+  std::size_t words = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    check(items[k].program != nullptr,
+          "ReliableTransport::submit_coalesced: null member program");
+    words += items[k].program->words().size();
+  }
   if (window_.empty() && outstanding_.empty()) {
+    // A new exchange may follow an external reset; re-mirror the decoder.
     sync_generation();
   }
   const rtm::Rtm& rtm = copro_->system().rtm();
-  std::vector<const isa::Program*> programs;
-  programs.reserve(items.size());
-  for (const CoalescedItem& item : items) {
-    check(item.program != nullptr,
-          "ReliableTransport::submit_coalesced: null member program");
-    programs.push_back(item.program);
-  }
-  FrameLayout layout = split_frame(programs, rtm.config(), rtm.table());
-
   Flight f;
-  f.coalesced = true;
-  f.groups = std::move(layout.groups);
-  f.slots.resize(f.groups.size());
-  std::vector<ProgramId> ids;
-  ids.reserve(items.size());
-  for (std::size_t k = 0; k < items.size(); ++k) {
+  f.groups.reserve(words);  // a group is at least one word
+  f.members.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    append_groups(*items[k].program, f.groups);
     Member m;
-    m.id = next_program_id_++;
-    m.first_slot = layout.members[k].first_group;
-    m.slot_count = layout.members[k].group_count;
+    m.first_slot = f.members.empty()
+                       ? 0
+                       : f.members.back().first_slot +
+                             f.members.back().slot_count;
+    m.slot_count = f.groups.size() - m.first_slot;
     m.stream = items[k].stream;
-    for (std::size_t i = 0; i < m.slot_count; ++i) {
-      GroupSlot& s = f.slots[m.first_slot + i];
-      s.pred = layout.predictions[m.first_slot + i];
-      s.effects = layout.effects[m.first_slot + i];
-      s.program_seq = static_cast<std::uint16_t>(i);  // member-relative
-      s.done = s.pred.count == 0;
-    }
     // One frame, one watchdog: the frame deadline is the laxest member's.
     f.budget = std::max(f.budget,
                         items[k].budget_cycles.value_or(config_.max_cycles));
-    ids.push_back(m.id);
-    f.members.push_back(std::move(m));
+    f.members.push_back(m);
+  }
+  f.slots.resize(f.groups.size());
+  for (const Member& m : f.members) {
+    for (std::size_t i = 0; i < m.slot_count; ++i) {
+      GroupSlot& s = f.slots[m.first_slot + i];
+      const isa::Instruction& inst = f.groups[m.first_slot + i].inst;
+      s.pred = predict(inst, rtm.config(), rtm.table());
+      s.effects = group_effects(inst, rtm.config(), rtm.table());
+      s.program_seq = static_cast<std::uint16_t>(i);  // member-relative
+      s.done = s.pred.count == 0;
+    }
+  }
+  // Ids only once nothing can throw, so they stay consecutive.
+  for (Member& m : f.members) {
+    m.id = next_program_id_++;
   }
   f.id = f.members.front().id;
-  push_frame(std::move(f));
-  return ids;
+  window_.push_back(std::move(f));
+  unissued_ = true;
+  emit_pending_ = true;  // a pure-write frame may already be complete
+  return window_.back().id;
 }
 
 void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
@@ -189,6 +184,7 @@ void ReliableTransport::arm_front() {
 void ReliableTransport::retry_front(sim::Counters::Handle reason) {
   const Outstanding o = outstanding_.front();
   outstanding_.pop_front();
+  unissued_ = true;  // the write barrier may have lifted
   arm_front();
   stats_.bump(reason);
   Flight* f = flight(o.program);
@@ -261,6 +257,7 @@ void ReliableTransport::handle_response(const msg::Response& r) {
     s.done = true;
     emit_pending_ = true;
     outstanding_.pop_front();
+    unissued_ = true;  // the write barrier may have lifted
     arm_front();
   } else {
     // Progress: the attempt counter tracks consecutive attempts that
@@ -344,20 +341,16 @@ void ReliableTransport::issue_pending() {
   // Groups issue in strict submission order — the first flight with
   // unissued groups is the only one allowed to transmit, so a later
   // program can never overtake an earlier one on the wire.  Groups that
-  // mutate state additionally wait behind the write barrier (nothing
-  // outstanding anywhere) so no retry can ever observe a newer value.
-  // Inside a *coalesced* frame the barrier is per register: a member's
-  // write may overtake outstanding reads whose footprints it cannot touch
-  // (host::GroupEffects), so register-disjoint members pipeline instead of
-  // paying one round trip each.  Plain flights keep the conservative rule
-  // bit-for-bit (and their slots' default effects make any coalesced write
-  // crossing them stall, keeping mixed windows safe).
-  bool stalled = false;
+  // mutate state additionally wait behind the per-register write barrier:
+  // a write may overtake outstanding reads only when its footprint cannot
+  // touch theirs (host::GroupEffects), so no retry can ever observe a
+  // newer value, and register-disjoint programs pipeline instead of paying
+  // one round trip each.
   for (Flight& f : window_) {
     while (f.next_group < f.groups.size()) {
       const GroupSlot& s = f.slots[f.next_group];
       if (s.pred.count == 0 && !s.pred.retriable && !outstanding_.empty() &&
-          (!f.coalesced || write_conflicts(s.effects))) {
+          write_conflicts(s.effects)) {
         break;  // write barrier
       }
       if (!f.deadline) {
@@ -370,11 +363,11 @@ void ReliableTransport::issue_pending() {
       emit_pending_ = true;  // a fully issued pure-write flight completes
     }
     if (f.next_group < f.groups.size()) {
-      stalled = true;
       break;  // stalled on the barrier; later programs must wait behind it
     }
   }
-  unissued_ = stalled;
+  // Done, or stalled until an outstanding read leaves or a frame arrives.
+  unissued_ = false;
 }
 
 void ReliableTransport::check_watchdogs() {

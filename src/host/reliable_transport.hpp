@@ -35,7 +35,7 @@ struct TransportConfig {
   /// call-and-wait; larger windows overlap one frame's tail with the next
   /// frame's issue (the RTM pipelines instructions and answers in order,
   /// so the wire protocol needs no changes).  submit() refuses to exceed
-  /// the window; host::Farm sizes its worker loop from it.
+  /// the window; host::Farm sizes its scheduler from it.
   std::size_t window = 1;
 
   /// Throw SimError on nonsensical settings (zero attempts/multiplier/
@@ -77,9 +77,10 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    remaining watchdog budget, catching the tail case where nothing
 ///    arrives at all;
 ///  * groups that produce no responses (register writes) are submitted only
-///    once nothing is outstanding, so every prior read was confirmed before
-///    state mutates and re-submitting a read can never observe a newer
-///    write (write barrier — it spans *programs*: a later program's groups
+///    once no outstanding read depends on a register they may write
+///    (host::GroupEffects), so re-submitting a read can never observe a
+///    newer write (the per-register write barrier; it spans programs and
+///    frames, and since groups issue in order, a later program's groups
 ///    never overtake an earlier program's unsubmitted write);
 ///  * results are re-numbered to *program-order* sequence numbers before
 ///    being returned, so the output is bit-comparable with
@@ -100,11 +101,10 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    and the caller is expected to abort_in_flight() and re-submit or
 ///    fail upwards (host::Farm fails the window as shard casualties).
 ///
-/// On top of the window, submit_coalesced() packs several small programs
-/// into ONE frame — one window slot, one contiguous transmission, one
-/// watchdog — demultiplexed into per-member completions, with the write
-/// barrier relaxed to per-register conflict tracking inside the frame
-/// (docs/PROTOCOL.md, "Coalesced frames").
+/// Every submission is a *frame*: submit() makes a one-member frame and
+/// submit_coalesced() packs several small programs into one — one window
+/// slot, one contiguous transmission, one watchdog — demultiplexed into
+/// per-member completions (docs/PROTOCOL.md, "Frames").
 ///
 /// The transport mirrors the decoder's sequence counter, so it must be the
 /// only submitter on its system (construct it before any traffic and route
@@ -143,8 +143,10 @@ class ReliableTransport {
       std::optional<std::uint64_t> budget_cycles = std::nullopt);
 
   // -- Pipelined window ------------------------------------------------------
-  /// Enqueue a program into the in-flight window (throws SimError when the
-  /// window is full — poll capacity with window_full()).  Its instructions
+  /// Enqueue a program into the in-flight window as a one-member frame
+  /// (throws SimError when the window is full — poll capacity with
+  /// window_full()).  Identical to submit_coalesced() of one item, without
+  /// its id vector.  Its instructions
   /// issue, in submission order, as service() runs; its per-program
   /// watchdog (`budget_cycles`, default config().max_cycles) arms when its
   /// first group reaches the wire.  With stream = true every response is
@@ -172,21 +174,17 @@ class ReliableTransport {
   /// per member.
   ///
   /// Retry/poison semantics are frame-granular: individual read groups
-  /// still retry under backoff exactly as in a plain flight, members
-  /// complete individually as their sub-range finishes, but a give-up or
-  /// the frame watchdog poisons the whole window — every member of every
-  /// in-flight frame fails together (same contract as the windowed path,
-  /// at frame scope).
-  ///
-  /// Inside a coalesced frame the cross-program write barrier is re-derived
-  /// per register (host::GroupEffects): a member's write group may overtake
-  /// another member's outstanding read iff their footprints are disjoint,
-  /// so register-disjoint tiny programs issue back-to-back instead of
-  /// serialising on one round trip each.  Groups of *plain* flights keep
-  /// the conservative whole-window barrier, which keeps the uncoalesced
-  /// path bit-identical to the pre-coalescing transport.
+  /// retry under backoff, members complete individually as their
+  /// sub-range finishes, but a give-up or the frame watchdog poisons the
+  /// whole window — every member of every in-flight frame fails together.
   std::vector<ProgramId> submit_coalesced(
       const std::vector<CoalescedItem>& items);
+
+  /// submit_coalesced() without the id vector: `count` members starting at
+  /// `items`, returning the first member's id.  Member ids are consecutive
+  /// (first, first + 1, ...).  submit() and submit_coalesced() both build
+  /// their frame here.
+  ProgramId submit_frame(const CoalescedItem* items, std::size_t count);
 
   /// One service quantum of the retry state machine: issue groups (window
   /// order, write barrier permitting), consume arrived responses, run gap/
@@ -222,22 +220,17 @@ class ReliableTransport {
 
  private:
   /// Per-group progress.  program_seq is the sequence number the reference
-  /// model assigns — the group index in *member* program order (mod 2^16);
-  /// for a plain one-program flight that is just the group index.
+  /// model assigns — the group index in *member* program order (mod 2^16).
   struct GroupSlot {
     ResponsePrediction pred;
     std::uint16_t program_seq = 0;
     std::vector<msg::Response> got;
     bool done = false;
-    /// Register footprint, exact only for coalesced frames (plain flights
-    /// never consult it; the default conservatively conflicts with
-    /// everything, which is what a coalesced write crossing a plain
-    /// flight's outstanding reads must assume).
-    GroupEffects effects;
+    GroupEffects effects;  ///< register footprint, for the write barrier
   };
 
   /// One member program of a frame: its contiguous slot sub-range and its
-  /// demultiplexed output.  A plain submit() makes a one-member frame.
+  /// demultiplexed output.
   struct Member {
     ProgramId id = 0;
     std::size_t first_slot = 0;
@@ -258,9 +251,6 @@ class ReliableTransport {
     std::size_t emit_cursor = 0;   ///< slots already emitted in frame order
     std::uint64_t budget = 0;
     std::optional<Deadline> deadline;  ///< armed at first transmission
-    /// True for submit_coalesced frames: the write barrier relaxes to
-    /// per-register conflict tracking for this frame's write groups.
-    bool coalesced = false;
   };
 
   /// Response-producing groups in flight, oldest first (wire order).
@@ -275,11 +265,8 @@ class ReliableTransport {
   Flight* flight(ProgramId id);
   /// Re-sync the mirrored sequence counter after a system reset.
   void sync_generation();
-  /// Common tail of submit()/submit_coalesced().
-  void push_frame(Flight&& f);
   /// Would issuing `writer` now let a retry of any outstanding read observe
-  /// a newer register value?  (The relaxed, per-register barrier used for
-  /// coalesced frames.)
+  /// a newer register value?  (The per-register write barrier.)
   bool write_conflicts(const GroupEffects& writer) const;
   /// Send a group's words and (when it responds) enqueue it for tracking.
   void transmit(Flight& f, std::size_t slot_index, unsigned attempts);
@@ -312,7 +299,9 @@ class ReliableTransport {
   // stay O(1) in the window depth (a deep window would otherwise pay for
   // its own bookkeeping faster than the pipelining saves wire time).
   // These caches skip the O(window) phases until an event re-arms them.
-  bool unissued_ = false;       ///< some flight has groups not yet issued
+  /// Issuing could progress: a frame arrived, or an outstanding read left
+  /// (the only events that can lift the write barrier).
+  bool unissued_ = false;
   bool emit_pending_ = false;   ///< a slot completed since the last emit scan
   std::uint64_t watchdog_due_ = 0;  ///< earliest watchdog expiry (0 = dirty)
   sim::Counters stats_;

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 
 #include "msg/response.hpp"
 #include "sim/component.hpp"
 #include "sim/handshake.hpp"
+#include "util/sliding_queue.hpp"
 
 namespace fpgafu::msg {
 
@@ -127,15 +127,15 @@ class Link : public sim::Component {
 
   /// Append with a monotonic arrival clamp so per-word jitter cannot
   /// reorder the FIFO.
-  static void enqueue(std::deque<InFlight>& queue, LinkWord word,
+  static void enqueue(SlidingQueue<InFlight>& queue, LinkWord word,
                       std::uint64_t arrives_at);
 
   LinkTiming down_;
   LinkTiming up_;
   std::size_t down_capacity_;  ///< 0 = unbounded
   std::size_t up_capacity_;    ///< 0 = unbounded
-  std::deque<InFlight> down_queue_;  ///< host -> FPGA
-  std::deque<InFlight> up_queue_;    ///< FPGA -> host
+  SlidingQueue<InFlight> down_queue_;  ///< host -> FPGA
+  SlidingQueue<InFlight> up_queue_;    ///< FPGA -> host
   std::uint64_t down_next_slot_ = 0;  ///< earliest cycle the next word may depart
   std::uint64_t up_next_slot_ = 0;
   std::uint64_t words_down_ = 0;

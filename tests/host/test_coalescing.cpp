@@ -90,8 +90,6 @@ TEST(FrameLayout, MembersCoverConcatenatedGroupsExactly) {
   // writes r3 — the write-read conflict the frame barrier must see.
   const GroupEffects& getv = frame.effects[2];
   const GroupEffects& put = frame.effects[3];
-  ASSERT_TRUE(getv.exact);
-  ASSERT_TRUE(put.exact);
   EXPECT_TRUE(getv.data_reads.test(2));
   EXPECT_TRUE(getv.data_reads.test(3));
   EXPECT_TRUE(getv.data_reads.test(4));
@@ -309,15 +307,15 @@ TEST(Coalescing, FaultyLinkRecoversBitExactAcrossConflictingMembers) {
   EXPECT_GT(total_retries, 0u);  // the fault machinery actually fired
 }
 
-// -- The point of the exercise ------------------------------------------------
+// -- One barrier for windows and frames ---------------------------------------
 
-TEST(Coalescing, DisjointMembersBeatTheUncoalescedWindowOnCycles) {
+TEST(Coalescing, WindowedDisjointJobsKeepPaceWithOneCoalescedFrame) {
   // The same 12 register-disjoint write+compute+read jobs, once as 12
-  // windowed frames (the cross-program write barrier serialises them at
-  // about one round trip each) and once as a single coalesced frame (the
-  // per-register barrier finds no conflicts and streams them back to
-  // back).  Both must produce identical responses; the coalesced run must
-  // finish in measurably fewer simulated cycles.
+  // windowed one-member frames and once as a single coalesced frame.  One
+  // per-register write barrier governs both, so neither serialises on a
+  // round trip per job: the responses must be identical, and the window
+  // must be no slower than the coalesced frame (both run at the downlink's
+  // word rate).
   top::SystemConfig cfg;  // default RTM: 32 data registers
   std::vector<isa::Program> programs;
   for (int i = 0; i < 12; ++i) {
@@ -376,12 +374,8 @@ TEST(Coalescing, DisjointMembersBeatTheUncoalescedWindowOnCycles) {
   for (std::size_t i = 0; i < coalesced.size(); ++i) {
     EXPECT_EQ(coalesced[i], windowed[i]) << "member " << i;
   }
-  EXPECT_LT(coalesced_cycles, windowed_cycles)
-      << "coalescing must beat the barrier-serialised window";
-  // The headline claim: at least 1.5x fewer simulated cycles end to end.
-  EXPECT_GE(windowed_cycles * 2, coalesced_cycles * 3)
-      << "windowed " << windowed_cycles << " vs coalesced "
-      << coalesced_cycles;
+  EXPECT_LE(windowed_cycles, coalesced_cycles)
+      << "the window must pipeline disjoint writes like a coalesced frame";
 }
 
 TEST(Coalescing, RejectsEmptyAndOversubmission) {

@@ -274,6 +274,50 @@ TEST(ReliableTransport, SubmitOnFullWindowErrorText) {
   transport.abort_in_flight();
 }
 
+/// submit(p) and submit_coalesced({p}) are the same frame: on fresh
+/// Systems they return identical responses on the same simulated cycle.
+TEST(ReliableTransport, SubmitIsAOneMemberFrame) {
+  struct Run {
+    std::vector<msg::Response> responses;
+    std::uint64_t cycles = 0;
+  };
+  const auto run = [](const isa::Program& p, bool coalesced) {
+    top::SystemConfig cfg;
+    cfg.rtm = small_rtm();
+    top::System sys(cfg);
+    Coprocessor copro(sys);
+    ReliableTransport transport(copro);
+    if (coalesced) {
+      transport.submit_coalesced({{&p, std::nullopt, false}});
+    } else {
+      transport.submit(p);
+    }
+    Run r;
+    copro.pump().run_until(
+        [&] {
+          transport.service();
+          if (auto c = transport.poll_completed()) {
+            r.responses = std::move(c->responses);
+            return true;
+          }
+          return false;
+        },
+        Deadline(sys.simulator(), 1'000'000), "one-member frame test");
+    r.cycles = sys.simulator().cycle();
+    return r;
+  };
+  for (std::uint64_t seed = 31; seed <= 36; ++seed) {
+    const isa::Program p = fpgafu::testing::random_program(
+        small_rtm(), seed, {.instructions = 40, .include_errors = true});
+    const Run plain = run(p, false);
+    const Run frame = run(p, true);
+    EXPECT_EQ(plain.responses, frame.responses) << "seed " << seed;
+    EXPECT_EQ(plain.responses, ReferenceModel(small_rtm()).run(p))
+        << "seed " << seed;
+    EXPECT_EQ(plain.cycles, frame.cycles) << "seed " << seed;
+  }
+}
+
 TEST(ReliableTransport, WindowPreservesCrossProgramWriteOrder) {
   top::SystemConfig cfg;
   cfg.rtm = small_rtm();

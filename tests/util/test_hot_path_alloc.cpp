@@ -17,6 +17,7 @@
 
 #include "host/coprocessor.hpp"
 #include "host/driver.hpp"
+#include "host/reliable_transport.hpp"
 #include "isa/assembler.hpp"
 #include "rtm/lock_manager.hpp"
 #include "rtm/register_file.hpp"
@@ -145,9 +146,10 @@ TEST(HotPathAlloc, FlushOnDrainedQueue) {
 
 TEST(HotPathAlloc, TinyJobStreamStaysUnderBudget) {
   // 400 PUT/ADD/GET jobs through System + Coprocessor.  The programs are
-  // assembled before counting starts.  What is left is one response vector
-  // per call and the driver queues' occasional chunk turnover, about 1.4
-  // allocations per 17-cycle job; the parent made 32.7 per cycle.
+  // assembled before counting starts.  What is left is the one response
+  // vector each call returns: the driver's and the link's word queues
+  // reuse their buffers (util::SlidingQueue), where std::deque chunk
+  // turnover used to add about 175 more.
   constexpr int kJobs = 400;
   top::System sys({});
   host::Coprocessor copro(sys);
@@ -173,10 +175,64 @@ TEST(HotPathAlloc, TinyJobStreamStaysUnderBudget) {
               2u * static_cast<isa::Word>(1000 + i));
   }
   ASSERT_GT(cycles, 0u);
-  const double per_cycle =
-      static_cast<double>(n) / static_cast<double>(cycles);
-  EXPECT_LT(per_cycle, 0.1) << n << " allocations over " << cycles
-                            << " simulated cycles";
+  EXPECT_LE(n, static_cast<std::uint64_t>(kJobs))
+      << n << " allocations over " << cycles << " simulated cycles";
+}
+
+TEST(HotPathAlloc, WindowedSubmitStreamStaysUnderBudget) {
+  // 400 PUT/ADD/GET jobs through a window-4 ReliableTransport, each job a
+  // one-member frame on its own register pair.  A frame still allocates
+  // its group, slot and member lists, one word list per group, the read's
+  // response list and the completion: about 9.5 per job (the two-barrier
+  // transport made 11.9).  No per-call item, program or id lists.
+  constexpr int kJobs = 400;
+  top::System sys({});
+  host::Coprocessor copro(sys);
+  host::TransportConfig tcfg;
+  tcfg.window = 4;
+  host::ReliableTransport transport(copro, tcfg);
+  std::vector<isa::Program> jobs;
+  for (int i = 0; i < kJobs; ++i) {
+    std::string a = "r";
+    a += std::to_string(1 + 2 * (i % 8));
+    std::string b = "r";
+    b += std::to_string(2 + 2 * (i % 8));
+    jobs.push_back(isa::Assembler::assemble(
+        "PUT " + a + ", #" + std::to_string(1000 + i) + "\nADD " + b + ", " +
+        a + ", " + a + "\nGET " + b));
+  }
+  std::vector<isa::Word> got(kJobs);
+  host::ReliableTransport::ProgramId first_id = 0;
+  const auto run = [&](std::size_t first, std::size_t last) {
+    std::size_t next = first;
+    std::size_t done = first;
+    copro.pump().run_until(
+        [&] {
+          while (next < last && !transport.window_full()) {
+            const auto id = transport.submit(jobs[next]);
+            if (next++ == 0) {
+              first_id = id;
+            }
+          }
+          transport.service();
+          while (auto c = transport.poll_completed()) {
+            got[c->id - first_id] = c->responses.front().payload;
+            ++done;
+          }
+          return done == last;
+        },
+        host::Deadline::unbounded(sys.simulator()), "windowed stream");
+  };
+  run(0, 8);  // first use sizes the host queues
+  const std::uint64_t start = sys.simulator().cycle();
+  const std::uint64_t n = allocations_during([&] { run(8, kJobs); });
+  const std::uint64_t cycles = sys.simulator().cycle() - start;
+  for (int i = 0; i < kJobs; ++i) {
+    ASSERT_EQ(got[static_cast<std::size_t>(i)],
+              2u * static_cast<isa::Word>(1000 + i));
+  }
+  EXPECT_LE(n, 10u * static_cast<std::uint64_t>(kJobs - 8))
+      << n << " allocations over " << cycles << " simulated cycles";
 }
 
 }  // namespace
