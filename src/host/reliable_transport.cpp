@@ -113,12 +113,9 @@ ReliableTransport::ProgramId ReliableTransport::submit_frame(
   f.groups.reserve(words);  // a group is at least one word
   f.members.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
-    append_groups(*items[k].program, f.groups);
     Member m;
-    m.first_slot = f.members.empty()
-                       ? 0
-                       : f.members.back().first_slot +
-                             f.members.back().slot_count;
+    m.first_slot = f.groups.size();
+    append_groups(*items[k].program, f.groups);
     m.slot_count = f.groups.size() - m.first_slot;
     m.stream = items[k].stream;
     // One frame, one watchdog: the frame deadline is the laxest member's.

@@ -664,7 +664,19 @@ TEST(Farm, RoundRobinOrderDoesNotDependOnWhoQueuedFirst) {
   ASSERT_LT(s, a);
   ASSERT_LT(a, b);
 
-  auto stall = farm.submit(s, chunky_program(300));
+  // The stall's completion callback holds the worker until all four jobs
+  // below are queued, so the test does not depend on how long the stall
+  // takes in wall time.
+  std::promise<void> all_queued;
+  std::shared_future<void> gate = all_queued.get_future().share();
+  std::promise<void> stalled;
+  std::future<void> stall = stalled.get_future();
+  farm.submit_async(s, chunky_program(300),
+                    [&stalled, gate](std::vector<msg::Response>,
+                                     std::exception_ptr) {
+                      gate.wait();
+                      stalled.set_value();
+                    });
 
   std::mutex m;
   std::condition_variable cv;
@@ -681,6 +693,7 @@ TEST(Farm, RoundRobinOrderDoesNotDependOnWhoQueuedFirst) {
   farm.submit_async(b, selfcontained_program(1721), record('b'));
   farm.submit_async(a, selfcontained_program(1722), record('a'));
   farm.submit_async(a, selfcontained_program(1723), record('a'));
+  all_queued.set_value();
 
   stall.get();
   std::unique_lock<std::mutex> lk(m);
