@@ -571,8 +571,9 @@ bool Farm::Shard::step(Engine& engine, Flights& fl, bool draining) {
           },
           Deadline::unbounded(engine.system.simulator()), "Farm::step");
       const auto find = [&](ReliableTransport::ProgramId id) {
-        return std::find_if(fl.active.begin(), fl.active.end(),
-                            [&](const Flights::Active& a) { return a.id == id; });
+        return std::find_if(
+            fl.active.begin(), fl.active.end(),
+            [&](const Flights::Active& a) { return a.id == id; });
       };
       for (const ReliableTransport::StreamEvent& e : fl.events) {
         const auto it = find(e.id);

@@ -18,7 +18,9 @@ class SlidingQueue {
   const T& operator[](std::size_t i) const { return items_[head_ + i]; }
   const T& front() const { return items_[head_]; }
   const T& back() const { return items_.back(); }
-  auto begin() const { return items_.begin() + static_cast<std::ptrdiff_t>(head_); }
+  auto begin() const {
+    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
   auto end() const { return items_.end(); }
 
   void push_back(const T& value) { items_.push_back(value); }

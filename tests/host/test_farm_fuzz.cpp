@@ -559,8 +559,9 @@ void run_case(std::uint64_t seed) {
     ASSERT_EQ(o.responses.size(), j.expected.size()) << where;
     for (std::size_t r = 0; r < o.responses.size(); ++r) {
       ASSERT_EQ(o.responses[r], j.expected[r])
-          << where << " response " << r << ": " << msg::to_string(o.responses[r])
-          << " vs reference " << msg::to_string(j.expected[r]);
+          << where << " response " << r << ": "
+          << msg::to_string(o.responses[r]) << " vs reference "
+          << msg::to_string(j.expected[r]);
     }
   }
   const sim::Counters totals = farm.counters();
