@@ -146,12 +146,11 @@ class ReliableTransport {
   /// Enqueue a program into the in-flight window as a one-member frame
   /// (throws SimError when the window is full — poll capacity with
   /// window_full()).  Identical to submit_coalesced() of one item, without
-  /// its id vector.  Its instructions
-  /// issue, in submission order, as service() runs; its per-program
-  /// watchdog (`budget_cycles`, default config().max_cycles) arms when its
-  /// first group reaches the wire.  With stream = true every response is
-  /// additionally delivered through poll_stream() as soon as its group
-  /// completes.
+  /// its id vector.  Its instructions issue, in submission order, as
+  /// service() runs; its per-program watchdog (`budget_cycles`, default
+  /// config().max_cycles) arms when its first group reaches the wire.
+  /// With stream = true every response is additionally delivered through
+  /// poll_stream() as soon as its group completes.
   ProgramId submit(const isa::Program& program,
                    std::optional<std::uint64_t> budget_cycles = std::nullopt,
                    bool stream = false);
