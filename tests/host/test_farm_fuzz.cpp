@@ -3,8 +3,9 @@
 //
 // Each case draws a random FarmConfig (shard count including inline mode,
 // transport window, coalescing caps and flush timer, an optional
-// algorithm-on-demand catalogue under slot pressure, optional upstream link
-// faults) and a random multi-session job stream.  Every session owns a
+// algorithm-on-demand catalogue under slot pressure with an LRU or
+// cost-aware replacement policy, optional upstream link faults) and a
+// random multi-session job stream.  Every session owns a
 // disjoint block of data and flag registers on its shard, so its jobs form
 // one sequential register history no matter how the shard interleaves,
 // pipelines or coalesces them with other sessions' jobs.  Every job must
@@ -313,6 +314,7 @@ struct Case {
   std::uint64_t seed = 0;
   FarmConfig config;
   bool algod = false;
+  bool cost_aware = false;  ///< algod replacement policy: cost-aware or LRU
   bool faults = false;
 };
 
@@ -339,6 +341,10 @@ Case make_case(std::uint64_t seed, Xoshiro256& rng) {
     fc.system.with_trig = false;
     fc.fu_images = catalogue();
     fc.fu_slots = rng.range(2, 4);
+    c.cost_aware = rng.chance(1, 2);
+    if (c.cost_aware) {
+      fc.fu_policy = [] { return std::make_shared<CostAwarePolicy>(); };
+    }
   }
   c.faults = rng.chance(1, 2);
   if (c.faults) {
@@ -364,7 +370,9 @@ std::string describe(const Case& c) {
          std::to_string(fc.coalesce_max_programs) + "/" +
          std::to_string(fc.coalesce_max_words) + "w/" +
          std::to_string(fc.coalesce_flush_cycles) + "cy, algod " +
-         (c.algod ? "slots " + std::to_string(fc.fu_slots) : "off") +
+         (c.algod ? "slots " + std::to_string(fc.fu_slots) +
+                        (c.cost_aware ? " cost-aware" : " lru")
+                  : "off") +
          ", faults " + (c.faults ? "on" : "off") + ")";
 }
 
