@@ -12,7 +12,7 @@
 #include "host/coprocessor.hpp"
 #include "isa/types.hpp"
 #include "sim/component.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 
 namespace fpgafu::host {
 

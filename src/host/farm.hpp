@@ -15,7 +15,7 @@
 #include "host/reliable_transport.hpp"
 #include "isa/program.hpp"
 #include "msg/response.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 #include "top/system.hpp"
 
 namespace fpgafu::host {

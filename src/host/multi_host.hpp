@@ -6,6 +6,7 @@
 
 #include "host/coprocessor.hpp"
 #include "host/framing.hpp"
+#include "util/sliding_queue.hpp"
 
 namespace fpgafu::host {
 
@@ -55,8 +56,10 @@ class MultiHost {
 
     MultiHost* owner_;
     std::size_t id_;
-    /// Instruction groups awaiting interleave.
-    std::deque<InstructionGroup> pending_;
+    /// Instruction groups awaiting interleave; the front group's words are
+    /// the first `word_count` entries of pending_words_.
+    SlidingQueue<InstructionGroup> pending_;
+    SlidingQueue<isa::Word> pending_words_;
     std::deque<msg::Response> inbox_;
   };
 

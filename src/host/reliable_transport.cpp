@@ -99,10 +99,12 @@ ReliableTransport::ProgramId ReliableTransport::submit_frame(
                    std::to_string(config_.window) + " frames in flight)");
   }
   std::size_t words = 0;
+  std::size_t groups = 0;
   for (std::size_t k = 0; k < count; ++k) {
     check(items[k].program != nullptr,
           "ReliableTransport::submit_coalesced: null member program");
     words += items[k].program->words().size();
+    groups += items[k].program->instruction_count();
   }
   if (window_.empty() && outstanding_.empty()) {
     // A new exchange may follow an external reset; re-mirror the decoder.
@@ -110,28 +112,21 @@ ReliableTransport::ProgramId ReliableTransport::submit_frame(
   }
   const rtm::Rtm& rtm = copro_->system().rtm();
   Flight f;
-  f.groups.reserve(words);  // a group is at least one word
-  f.members.reserve(count);
+  f.frame.reserve(words, groups, count);
+  f.members.resize(count);
   for (std::size_t k = 0; k < count; ++k) {
-    Member m;
-    m.first_slot = f.groups.size();
-    append_groups(*items[k].program, f.groups);
-    m.slot_count = f.groups.size() - m.first_slot;
-    m.stream = items[k].stream;
+    append_member(f.frame, *items[k].program, rtm.config(), rtm.table());
+    f.members[k].stream = items[k].stream;
     // One frame, one watchdog: the frame deadline is the laxest member's.
     f.budget = std::max(f.budget,
                         items[k].budget_cycles.value_or(config_.max_cycles));
-    f.members.push_back(m);
   }
-  f.slots.resize(f.groups.size());
-  for (const Member& m : f.members) {
-    for (std::size_t i = 0; i < m.slot_count; ++i) {
-      GroupSlot& s = f.slots[m.first_slot + i];
-      const isa::Instruction& inst = f.groups[m.first_slot + i].inst;
-      s.pred = predict(inst, rtm.config(), rtm.table());
-      s.effects = group_effects(inst, rtm.config(), rtm.table());
+  f.slots.resize(f.frame.groups.size());
+  for (const FrameMember& m : f.frame.members) {
+    for (std::size_t i = 0; i < m.group_count; ++i) {
+      GroupSlot& s = f.slots[m.first_group + i];
       s.program_seq = static_cast<std::uint16_t>(i);  // member-relative
-      s.done = s.pred.count == 0;
+      s.done = f.frame.predictions[m.first_group + i].count == 0;
     }
   }
   // Ids only once nothing can throw, so they stay consecutive.
@@ -148,10 +143,11 @@ ReliableTransport::ProgramId ReliableTransport::submit_frame(
 void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
                                  unsigned attempts) {
   const std::uint16_t wire = next_wire_seq_++;
-  for (const isa::Word w : f.groups[slot_index].words) {
-    copro_->submit_word(w);
+  const InstructionGroup& g = f.frame.groups[slot_index];
+  for (std::size_t i = 0; i < g.word_count; ++i) {
+    copro_->submit_word(f.frame.words[g.first_word + i]);
   }
-  if (f.slots[slot_index].pred.count > 0) {
+  if (f.frame.predictions[slot_index].count > 0) {
     // Partial burst progress is kept across retries: the group is
     // read-only (the write barrier holds back anything that could change
     // what it reads), so the re-sent sub-responses it already has are
@@ -188,7 +184,7 @@ void ReliableTransport::retry_front(sim::Counters::Handle reason) {
   check(f != nullptr, "ReliableTransport: outstanding entry for a program "
                       "that is no longer in flight");
   GroupSlot& s = f->slots[o.slot];
-  if (!s.pred.retriable) {
+  if (!f->frame.predictions[o.slot].retriable) {
     // Cannot safely re-submit: report the loss as a transport error in
     // the group's program-order position.
     stats_.bump(failures_);
@@ -250,7 +246,7 @@ void ReliableTransport::handle_response(const msg::Response& r) {
     return;
   }
   s.got.push_back(r);
-  if (s.got.size() >= s.pred.count) {
+  if (s.got.size() >= f->frame.predictions[o.slot].count) {
     s.done = true;
     emit_pending_ = true;
     outstanding_.pop_front();
@@ -268,17 +264,18 @@ void ReliableTransport::handle_response(const msg::Response& r) {
 void ReliableTransport::emit_ready() {
   for (auto it = window_.begin(); it != window_.end();) {
     Flight& f = *it;
+    const std::vector<FrameMember>& ranges = f.frame.members;
+    const auto end_of = [&](std::size_t k) {
+      return ranges[k].first_group + ranges[k].group_count;
+    };
     // The member owning the emit cursor (members are contiguous in slot
     // order, so this advances monotonically with the cursor).
     std::size_t owner = 0;
-    while (owner < f.members.size() &&
-           f.emit_cursor >=
-               f.members[owner].first_slot + f.members[owner].slot_count) {
+    while (owner < ranges.size() && f.emit_cursor >= end_of(owner)) {
       ++owner;
     }
     while (f.emit_cursor < f.slots.size() && f.slots[f.emit_cursor].done) {
-      while (f.emit_cursor >=
-             f.members[owner].first_slot + f.members[owner].slot_count) {
+      while (f.emit_cursor >= end_of(owner)) {
         ++owner;  // skip empty members sitting at this boundary
       }
       GroupSlot& s = f.slots[f.emit_cursor];
@@ -298,9 +295,10 @@ void ReliableTransport::emit_ready() {
     // are born done, so the issue condition is the binding one for
     // pure-write members.)
     bool all_emitted = true;
-    for (Member& m : f.members) {
-      const std::size_t end = m.first_slot + m.slot_count;
-      if (!m.emitted && f.emit_cursor >= end && f.next_group >= end) {
+    for (std::size_t k = 0; k < f.members.size(); ++k) {
+      Member& m = f.members[k];
+      if (!m.emitted && f.emit_cursor >= end_of(k) &&
+          f.next_group >= end_of(k)) {
         m.emitted = true;
         completed_.push_back({m.id, std::move(m.out)});
       }
@@ -325,8 +323,8 @@ bool ReliableTransport::write_conflicts(const GroupEffects& writer) const {
     }
     // An outstanding entry always belongs to a live flight; be conservative
     // if that invariant were ever violated.
-    if (f == nullptr ||
-        writer.writes_conflict_with_reads_of(f->slots[o.slot].effects)) {
+    if (f == nullptr || writer.writes_conflict_with_reads_of(
+                            f->frame.predictions[o.slot].effects)) {
       return true;
     }
   }
@@ -344,10 +342,10 @@ void ReliableTransport::issue_pending() {
   // newer value, and register-disjoint programs pipeline instead of paying
   // one round trip each.
   for (Flight& f : window_) {
-    while (f.next_group < f.groups.size()) {
-      const GroupSlot& s = f.slots[f.next_group];
-      if (s.pred.count == 0 && !s.pred.retriable && !outstanding_.empty() &&
-          write_conflicts(s.effects)) {
+    while (f.next_group < f.frame.groups.size()) {
+      const ResponsePrediction& p = f.frame.predictions[f.next_group];
+      if (p.count == 0 && !p.retriable && !outstanding_.empty() &&
+          write_conflicts(p.effects)) {
         break;  // write barrier
       }
       if (!f.deadline) {
@@ -359,7 +357,7 @@ void ReliableTransport::issue_pending() {
       ++f.next_group;
       emit_pending_ = true;  // a fully issued pure-write flight completes
     }
-    if (f.next_group < f.groups.size()) {
+    if (f.next_group < f.frame.groups.size()) {
       break;  // stalled on the barrier; later programs must wait behind it
     }
   }

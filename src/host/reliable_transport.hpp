@@ -7,7 +7,7 @@
 
 #include "host/coprocessor.hpp"
 #include "host/framing.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 
 namespace fpgafu::host {
 
@@ -167,10 +167,10 @@ class ReliableTransport {
   /// Enqueue several small programs as ONE submission frame occupying one
   /// window slot: their instruction groups are concatenated into a single
   /// sequence-numbered transmission with one watchdog and one prediction
-  /// table carrying per-member sub-ranges (host::split_frame), and the
-  /// return path demultiplexes responses back into one Completion (and
-  /// stream events) per member, in member order.  Returns one ProgramId
-  /// per member.
+  /// table carrying per-member sub-ranges (a host::FrameLayout built with
+  /// host::append_member), and the return path demultiplexes responses
+  /// back into one Completion (and stream events) per member, in member
+  /// order.  Returns one ProgramId per member.
   ///
   /// Retry/poison semantics are frame-granular: individual read groups
   /// retry under backoff, members complete individually as their
@@ -187,10 +187,14 @@ class ReliableTransport {
 
   /// One service quantum of the retry state machine: issue groups (window
   /// order, write barrier permitting), consume arrived responses, run gap/
-  /// timeout retries, surface completions.  Never advances the clock —
-  /// drive it from a Pump loop.  Throws SimError on a retry give-up or a
-  /// per-program watchdog expiry; the window is then poisoned and must be
-  /// cleared with abort_in_flight().
+  /// timeout retries, surface completions.  Drive it from a Pump loop.  It
+  /// steps the clock only when the downstream link is bounded
+  /// (`link_down_capacity > 0`) and full: each transmitted word goes
+  /// through Coprocessor::submit_word, whose Pump::flush runs the clock
+  /// (under Deadline::unbounded) until the driver's tx queue drains.
+  /// Throws SimError on a retry give-up or a per-program watchdog expiry;
+  /// the window is then poisoned and must be cleared with
+  /// abort_in_flight().
   void service();
 
   /// Submission frames in the window (a coalesced frame counts once,
@@ -221,31 +225,27 @@ class ReliableTransport {
   /// Per-group progress.  program_seq is the sequence number the reference
   /// model assigns — the group index in *member* program order (mod 2^16).
   struct GroupSlot {
-    ResponsePrediction pred;
     std::uint16_t program_seq = 0;
     std::vector<msg::Response> got;
     bool done = false;
-    GroupEffects effects;  ///< register footprint, for the write barrier
   };
 
-  /// One member program of a frame: its contiguous slot sub-range and its
-  /// demultiplexed output.
+  /// One member program of a frame: its demultiplexed output.  Its group
+  /// range is the FrameMember at the same index.
   struct Member {
     ProgramId id = 0;
-    std::size_t first_slot = 0;
-    std::size_t slot_count = 0;
     std::vector<msg::Response> out;  ///< renumbered responses, program order
     bool stream = false;
     bool emitted = false;  ///< completion surfaced to poll_completed()
   };
 
-  /// One submission frame in the window: the concatenated groups of its
-  /// members, one watchdog, one slot in the window.
+  /// One submission frame in the window: its layout (words, groups,
+  /// predictions, member ranges), one watchdog, one slot in the window.
   struct Flight {
     ProgramId id = 0;  ///< frame id (the first member's ProgramId)
-    std::vector<InstructionGroup> groups;
-    std::vector<GroupSlot> slots;
-    std::vector<Member> members;
+    FrameLayout frame;
+    std::vector<GroupSlot> slots;  ///< parallel to frame.groups
+    std::vector<Member> members;   ///< parallel to frame.members
     std::size_t next_group = 0;    ///< next group to put on the wire
     std::size_t emit_cursor = 0;   ///< slots already emitted in frame order
     std::uint64_t budget = 0;

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "msg/link.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 #include "util/rng.hpp"
 
 namespace fpgafu::msg {

@@ -7,7 +7,7 @@
 #include "rtm/lock_manager.hpp"
 #include "rtm/register_file.hpp"
 #include "sim/component.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 
 namespace fpgafu::rtm {
 
@@ -79,10 +79,6 @@ class WriteArbiter : public sim::Component {
       locks_->unlock_flag(w.dst_flag_reg);
       counters_->bump(h_hp_flags_);
     }
-    if (trace_ != nullptr && (w.write_data || w.write_flags)) {
-      trace_->event(simulator().cycle(), "writeback.hp",
-                    w.write_data ? w.dst_reg : w.dst_flag_reg);
-    }
     // Granted functional-unit completion.
     if (grant_ != kNoGrant) {
       const fu::FuResult r =
@@ -101,10 +97,6 @@ class WriteArbiter : public sim::Component {
         locks_->unlock_flag(r.dst_flag_reg);
       }
       counters_->bump(h_unit_writes_);
-      if (trace_ != nullptr) {
-        trace_->event(simulator().cycle(),
-                      "writeback.unit" + std::to_string(grant_), r.dst_reg);
-      }
       if (round_robin_) {
         next_ = (grant_ + 1) % table_->size();
       }
@@ -135,10 +127,6 @@ class WriteArbiter : public sim::Component {
     next_ = 0;
   }
 
-  /// Attach an event trace recording every retirement (`writeback.hp`,
-  /// `writeback.unit<i>`) with the written register as the value.
-  void set_trace(sim::EventTrace* trace) { trace_ = trace; }
-
  private:
   static constexpr std::size_t kNoGrant = ~std::size_t{0};
 
@@ -152,7 +140,6 @@ class WriteArbiter : public sim::Component {
   sim::Counters::Handle h_hp_flags_;
   sim::Counters::Handle h_unit_writes_;
   sim::Counters::Handle h_contention_;
-  sim::EventTrace* trace_ = nullptr;
   bool round_robin_;
   std::size_t grant_ = kNoGrant;
   std::size_t next_ = 0;

@@ -71,7 +71,16 @@ TEST(FrameLayout, MembersCoverConcatenatedGroupsExactly) {
   ASSERT_EQ(frame.members.size(), 3u);
   ASSERT_EQ(frame.groups.size(), 4u);
   ASSERT_EQ(frame.predictions.size(), frame.groups.size());
-  ASSERT_EQ(frame.effects.size(), frame.groups.size());
+  // One flat word list: a, then b (the empty member adds none), each group
+  // naming its range in order.
+  ASSERT_EQ(frame.words.size(), a.words().size() + b.words().size());
+  std::size_t next_word = 0;
+  for (const InstructionGroup& g : frame.groups) {
+    EXPECT_EQ(g.first_word, next_word);
+    EXPECT_EQ(isa::Instruction::decode(frame.words[g.first_word]), g.inst);
+    next_word += g.word_count;
+  }
+  EXPECT_EQ(next_word, frame.words.size());
 
   EXPECT_EQ(frame.members[0].first_group, 0u);
   EXPECT_EQ(frame.members[0].group_count, 2u);
@@ -88,8 +97,8 @@ TEST(FrameLayout, MembersCoverConcatenatedGroupsExactly) {
 
   // Effects line up with the groups: member b's GETV reads r2..r4, its PUT
   // writes r3 — the write-read conflict the frame barrier must see.
-  const GroupEffects& getv = frame.effects[2];
-  const GroupEffects& put = frame.effects[3];
+  const GroupEffects& getv = frame.predictions[2].effects;
+  const GroupEffects& put = frame.predictions[3].effects;
   EXPECT_TRUE(getv.data_reads.test(2));
   EXPECT_TRUE(getv.data_reads.test(3));
   EXPECT_TRUE(getv.data_reads.test(4));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "host/reference_model.hpp"
@@ -22,20 +23,69 @@ rtm::RtmConfig small_rtm() {
 }
 
 /// The host-side prediction must agree with the reference model on the
-/// response count of every instruction, across random programs including
-/// deliberate faults.
+/// response count of every instruction group, across random programs
+/// including deliberate faults and dual-output FU ops.  Its register
+/// footprint must cover what the reference model does: every data or flag
+/// register a group changes is in its write sets, and every data (flag)
+/// response's source register is in its read sets — the write barrier's
+/// soundness rests on both.
 TEST(Framing, PredictMatchesReferenceModelCounts) {
+  const rtm::RtmConfig rcfg = small_rtm();
   top::SystemConfig cfg;
-  cfg.rtm = small_rtm();
+  cfg.rtm = rcfg;
   top::System sys(cfg);  // provides the attached-unit table
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     const isa::Program p = fpgafu::testing::random_program(
-        small_rtm(), seed, {.instructions = 50, .include_errors = true});
+        rcfg, seed, {.instructions = 50, .include_errors = true});
+    ReferenceModel ref(rcfg);
     std::size_t predicted = 0;
     for (const InstructionGroup& g : split_groups(p)) {
-      predicted += predict(g.inst, sys.rtm().config(), sys.rtm().table()).count;
+      const ResponsePrediction pred =
+          predict(g.inst, sys.rtm().config(), sys.rtm().table());
+      predicted += pred.count;
+      std::vector<isa::Word> regs(rcfg.data_regs);
+      std::vector<isa::FlagWord> flags(rcfg.flag_regs);
+      for (unsigned r = 0; r < rcfg.data_regs; ++r) {
+        regs[r] = ref.reg(static_cast<isa::RegNum>(r));
+      }
+      for (unsigned r = 0; r < rcfg.flag_regs; ++r) {
+        flags[r] = ref.flag_reg(static_cast<isa::RegNum>(r));
+      }
+      const std::size_t before = ref.responses().size();
+      for (std::size_t i = 0; i < g.word_count; ++i) {
+        ref.feed(p.words()[g.first_word + i]);
+      }
+      const std::string where = "seed " + std::to_string(seed) +
+                                " group at word " +
+                                std::to_string(g.first_word);
+      ASSERT_EQ(ref.responses().size() - before, pred.count) << where;
+      for (unsigned r = 0; r < rcfg.data_regs; ++r) {
+        if (ref.reg(static_cast<isa::RegNum>(r)) != regs[r]) {
+          EXPECT_TRUE(pred.effects.data_writes.test(r))
+              << where << ": r" << r << " changed outside the write set";
+        }
+      }
+      for (unsigned r = 0; r < rcfg.flag_regs; ++r) {
+        if (ref.flag_reg(static_cast<isa::RegNum>(r)) != flags[r]) {
+          EXPECT_TRUE(pred.effects.flag_writes.test(r))
+              << where << ": f" << r << " changed outside the write set";
+        }
+      }
+      for (std::size_t k = before; k < ref.responses().size(); ++k) {
+        const msg::Response& resp = ref.responses()[k];
+        if (resp.type == msg::Response::Type::kData) {
+          EXPECT_TRUE(
+              pred.effects.data_reads.test(g.inst.src1 + resp.burst))
+              << where << ": data response from r"
+              << g.inst.src1 + resp.burst << " outside the read set";
+        } else if (resp.type == msg::Response::Type::kFlags) {
+          EXPECT_TRUE(pred.effects.flag_reads.test(g.inst.src_flag))
+              << where << ": flag response from f" << +g.inst.src_flag
+              << " outside the read set";
+        }
+      }
     }
-    const auto expected = ReferenceModel(small_rtm()).run(p);
+    const auto expected = ReferenceModel(rcfg).run(p);
     EXPECT_EQ(predicted, expected.size()) << "seed " << seed;
   }
 }

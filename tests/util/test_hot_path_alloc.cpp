@@ -181,10 +181,11 @@ TEST(HotPathAlloc, TinyJobStreamStaysUnderBudget) {
 
 TEST(HotPathAlloc, WindowedSubmitStreamStaysUnderBudget) {
   // 400 PUT/ADD/GET jobs through a window-4 ReliableTransport, each job a
-  // one-member frame on its own register pair.  A frame still allocates
-  // its group, slot and member lists, one word list per group, the read's
-  // response list and the completion: about 9.5 per job (the two-barrier
-  // transport made 11.9).  No per-call item, program or id lists.
+  // one-member frame on its own register pair.  A frame allocates its
+  // word, group, prediction and member-range lists, its slot and member
+  // state, the read's response list and the completion, plus the window
+  // deques' chunks: 3 387 for 392 jobs, about 8.64 per job (with one word
+  // list per group it was 3 714).  No per-call item, program or id lists.
   constexpr int kJobs = 400;
   top::System sys({});
   host::Coprocessor copro(sys);
@@ -231,7 +232,7 @@ TEST(HotPathAlloc, WindowedSubmitStreamStaysUnderBudget) {
     ASSERT_EQ(got[static_cast<std::size_t>(i)],
               2u * static_cast<isa::Word>(1000 + i));
   }
-  EXPECT_LE(n, 10u * static_cast<std::uint64_t>(kJobs - 8))
+  EXPECT_LE(n, 87u * static_cast<std::uint64_t>(kJobs - 8) / 10)
       << n << " allocations over " << cycles << " simulated cycles";
 }
 
